@@ -16,7 +16,6 @@
 #include "obs/trace_sink.hpp"
 #include "rng/splitmix64.hpp"
 #include "sim/parallel_round_engine.hpp"
-#include "sim/round_engine.hpp"
 #include "util/check.hpp"
 
 namespace qoslb {
@@ -102,58 +101,7 @@ void export_metrics(const obs::Telemetry& options, EngineResult& result,
   }
 }
 
-/// RAII per-phase hardware-counter attribution, mirroring ScopedPhase: an
-/// unattached or unavailable wrapper costs one branch, and reads happen on
-/// the driving thread only (perf fds are per-thread; see
-/// obs/perf_counters.hpp on what that misses at threads > 1).
-class ScopedPerf {
- public:
-  ScopedPerf(obs::PerfCounters* perf, obs::PhasePerf* totals, obs::Phase phase)
-      : perf_(perf != nullptr && perf->available() ? perf : nullptr),
-        totals_(totals), phase_(phase),
-        start_(perf_ != nullptr ? perf_->read() : obs::PerfSample{}) {}
-
-  ScopedPerf(const ScopedPerf&) = delete;
-  ScopedPerf& operator=(const ScopedPerf&) = delete;
-
-  ~ScopedPerf() {
-    if (perf_ != nullptr) totals_->add(phase_, start_, perf_->read());
-  }
-
- private:
-  obs::PerfCounters* perf_;
-  obs::PhasePerf* totals_;
-  obs::Phase phase_;
-  obs::PerfSample start_;
-};
-
-/// (after - before) - (claimed1 - claimed0), per counter, saturating at
-/// zero: the step share of a whole-round reading net of what the commit
-/// phase already attributed — the hardware-counter twin of the round-wall
-/// minus commit-bucket clock subtraction in drive_step_users.
-obs::PerfSample perf_step_share(const obs::PerfSample& before,
-                                const obs::PerfSample& after,
-                                const obs::PerfSample& claimed0,
-                                const obs::PerfSample& claimed1) {
-  const auto share = [](std::uint64_t b, std::uint64_t a, std::uint64_t c0,
-                        std::uint64_t c1) -> std::uint64_t {
-    const std::uint64_t total = a > b ? a - b : 0;
-    const std::uint64_t claimed = c1 > c0 ? c1 - c0 : 0;
-    return total > claimed ? total - claimed : 0;
-  };
-  obs::PerfSample out;
-  out.cycles = share(before.cycles, after.cycles, claimed0.cycles,
-                     claimed1.cycles);
-  out.instructions = share(before.instructions, after.instructions,
-                           claimed0.instructions, claimed1.instructions);
-  out.cache_misses = share(before.cache_misses, after.cache_misses,
-                           claimed0.cache_misses, claimed1.cache_misses);
-  out.branch_misses = share(before.branch_misses, after.branch_misses,
-                            claimed0.branch_misses, claimed1.branch_misses);
-  return out;
-}
-
-/// Per-round migration-flow aggregates, tallied by UserSetRoundTask::commit
+/// Per-round migration-flow aggregates, tallied by UserSetRound::commit
 /// from the shard-ordered request list (so every field is
 /// thread/mode/layout-invariant) and turned into a DiagRow + detector
 /// verdict by TelemetryDriver::decision_round.
@@ -198,9 +146,11 @@ class TelemetryDriver {
     }
   }
 
-  const obs::Clock* clock() const { return options_.clock; }
   obs::PhaseTimers* timers() { return &result_->telemetry.phases; }
-  obs::PerfCounters* perf() const { return options_.perf; }
+  /// The attached counters if they opened; null otherwise (no reads).
+  const obs::PerfCounters* perf() const {
+    return result_->telemetry.perf_available ? options_.perf : nullptr;
+  }
   obs::PhasePerf* phase_perf() { return &result_->telemetry.perf; }
   bool decisions_on() const { return options_.decisions != nullptr; }
   std::uint64_t decision_sample() const { return options_.decision_sample; }
@@ -235,8 +185,8 @@ class TelemetryDriver {
   void decision_round(std::uint64_t round, const State& state,
                       const std::vector<DecisionScratch>& shards,
                       const RoundDiagData& diag) {
-    obs::ScopedPhase phase(options_.clock, timers(), obs::Phase::kTrace);
-    ScopedPerf perf(options_.perf, phase_perf(), obs::Phase::kTrace);
+    obs::ScopedPhase phase(options_.clock, timers(), obs::Phase::kTrace,
+                           perf(), phase_perf());
     obs::DecisionSink& sink = *options_.decisions;
     const auto to_field = [](ResourceId r) {
       return r == kNoResource ? obs::kNoDecisionTarget
@@ -334,83 +284,23 @@ class TelemetryDriver {
   std::uint64_t pending_active_ = 0;
 };
 
-/// Classic sequential driver (the former runner.cpp ProtocolTask) for
-/// protocols that only implement step(): one step() per round, the
-/// stability check on the fast path (all satisfied) every round and on the
-/// period otherwise. All satisfaction reads go through the state's O(1)
-/// tracked counter — the engine enables tracking before driving the task,
-/// which also removed the historical duplicate O(n) recount around round 0.
-class SequentialTask : public RoundTask {
+/// Binds Protocol::step_users/commit_round to the sharded fan-out over an
+/// explicit iteration list (all users in dense mode, the sorted unsatisfied
+/// set in active mode): begin_round() snapshots the round-boundary loads,
+/// decide() — one call per shard, possibly concurrent — writes into
+/// per-shard buffers and per-shard counters, and commit() merges both in
+/// shard order on the driving thread — so the outcome is independent of
+/// which worker executed which shard. Randomness comes from the round's
+/// per-user substreams, so it is independent of the shard partition too.
+class UserSetRound {
  public:
-  SequentialTask(Protocol& protocol, State& state, Xoshiro256& rng,
-                 const EngineConfig& config, EngineResult& result,
-                 TelemetryDriver& telemetry)
-      : protocol_(&protocol), state_(&state), rng_(&rng), config_(&config),
-        result_(&result), telemetry_(&telemetry) {}
-
-  void round(std::uint64_t round_index) override {
-    (void)round_index;
-    {
-      obs::ScopedPhase phase(telemetry_->clock(), telemetry_->timers(),
-                             obs::Phase::kStep);
-      ScopedPerf perf(telemetry_->perf(), telemetry_->phase_perf(),
-                      obs::Phase::kStep);
-      protocol_->step(*state_, *rng_, result_->counters);
-    }
-    ++result_->counters.rounds;
-    if (config_->record_trajectory)
-      result_->unsatisfied_trajectory.push_back(
-          static_cast<std::uint32_t>(state_->count_unsatisfied()));
-    ++rounds_done_;
-    if (config_->invariant_check_period != 0 &&
-        rounds_done_ % config_->invariant_check_period == 0)
-      state_->check_invariants();
-    // step() scans every user, so the round's active size is n.
-    telemetry_->round_row(rounds_done_, *state_, state_->num_users());
-  }
-
-  bool converged() const override {
-    obs::ScopedPhase phase(telemetry_->clock(), telemetry_->timers(),
-                           obs::Phase::kSatisfactionCheck);
-    ScopedPerf perf(telemetry_->perf(), telemetry_->phase_perf(),
-                    obs::Phase::kSatisfactionCheck);
-    // Fast path: full satisfaction implies stability for the satisfaction
-    // protocols and is cheap to confirm for the others.
-    if (state_->count_satisfied() == state_->num_users())
-      return protocol_->is_stable(*state_);
-    if (rounds_done_ % config_->stability_check_period == 0)
-      return protocol_->is_stable(*state_);
-    return false;
-  }
-
- private:
-  Protocol* protocol_;
-  State* state_;
-  Xoshiro256* rng_;
-  const EngineConfig* config_;
-  EngineResult* result_;
-  TelemetryDriver* telemetry_;
-  std::uint64_t rounds_done_ = 0;
-};
-
-/// Binds Protocol::step_users/commit_round to the sharded round engine over
-/// an explicit iteration list (all users in dense mode, the sorted
-/// unsatisfied set in active mode): the decide fan-out writes into
-/// per-shard buffers and per-shard counters, the commit merges both in
-/// shard order — so the outcome is independent of which worker executed
-/// which shard. Randomness comes from the round's per-user substreams, so
-/// it is independent of the shard partition too.
-class UserSetRoundTask : public ShardedRoundTask {
- public:
-  UserSetRoundTask(Protocol& protocol, State& state, Counters& counters)
+  UserSetRound(Protocol& protocol, State& state, Counters& counters)
       : protocol_(&protocol), state_(&state), counters_(&counters) {}
 
-  void set_round(const std::vector<UserId>& users, const RoundRng& streams) {
+  void begin_round(const std::vector<UserId>& users, const RoundRng& streams,
+                   std::size_t num_shards) {
     users_ = &users;
     streams_ = streams;
-  }
-
-  void begin_round(std::size_t num_shards) override {
     snapshot_ = state_->loads();
     // Reuse the staging buffers' capacity across rounds: clear the vectors
     // in place instead of destroying them, so steady-state rounds allocate
@@ -434,9 +324,7 @@ class UserSetRoundTask : public ShardedRoundTask {
     shard_counters_.assign(num_shards, Counters{});
   }
 
-  void decide(std::size_t shard, std::size_t begin, std::size_t end,
-              PhiloxEngine& rng) override {
-    (void)rng;  // superseded by the per-user streams in streams_
+  void decide(std::size_t shard, std::size_t begin, std::size_t end) {
     protocol_->step_users(*state_, snapshot_, users_->data() + begin,
                           end - begin, shards_[shard], streams_,
                           shard_counters_[shard]);
@@ -445,7 +333,8 @@ class UserSetRoundTask : public ShardedRoundTask {
   /// Phase-timer and perf-counter hookup (driving thread only; null clock
   /// and null perf = no reads).
   void set_telemetry(const obs::Clock* clock, obs::PhaseTimers* timers,
-                     obs::PerfCounters* perf, obs::PhasePerf* phase_perf) {
+                     const obs::PerfCounters* perf,
+                     obs::PhasePerf* phase_perf) {
     clock_ = clock;
     timers_ = timers;
     perf_ = perf;
@@ -464,11 +353,11 @@ class UserSetRoundTask : public ShardedRoundTask {
   }
   const RoundDiagData& round_diag() const { return diag_; }
 
-  void commit() override {
+  void commit() {
     // commit() runs on the caller thread after the decide fan-out joined,
     // so timing it here races with nothing.
-    obs::ScopedPhase phase(clock_, timers_, obs::Phase::kCommit);
-    ScopedPerf perf(perf_, phase_perf_, obs::Phase::kCommit);
+    obs::ScopedPhase phase(clock_, timers_, obs::Phase::kCommit, perf_,
+                           phase_perf_);
     for (const Counters& shard : shard_counters_) *counters_ += shard;
     if (!decisions_on_) {
       protocol_->commit_round(*state_, shards_, *counters_);
@@ -515,7 +404,7 @@ class UserSetRoundTask : public ShardedRoundTask {
   Counters* counters_;
   const obs::Clock* clock_ = nullptr;
   obs::PhaseTimers* timers_ = nullptr;
-  obs::PerfCounters* perf_ = nullptr;
+  const obs::PerfCounters* perf_ = nullptr;
   obs::PhasePerf* phase_perf_ = nullptr;
   const std::vector<UserId>* users_ = nullptr;
   RoundRng streams_;
@@ -563,8 +452,8 @@ Engine::Engine(EngineConfig config) : config_(std::move(config)) {
 
 EngineResult Engine::run(Protocol& protocol, State& state,
                          Xoshiro256& rng) const {
-  // Churn and checkpointing live in the sharded round loop only; the
-  // sequential step() path has no round-boundary hook to apply them at.
+  // Churn and checkpointing need the round-boundary cut that only the
+  // sharded round body has; a step() round cannot be split around them.
   QOSLB_REQUIRE(!config_.churn.any() || protocol.supports_step_users(),
                 "churn plans need a sharded (step_users) protocol");
   QOSLB_REQUIRE(config_.snapshot_rounds.empty() ||
@@ -580,38 +469,17 @@ EngineResult Engine::run(Protocol& protocol, State& state,
   // O(1) per-round satisfaction reads on every path; the build is O(n log n)
   // once and idempotent across chained runs on the same state.
   state.enable_satisfaction_tracking();
-  if (protocol.supports_step_users())
-    return run_step_users(protocol, state, rng);
-  return run_sequential(protocol, state, rng);
-}
-
-EngineResult Engine::run_sequential(Protocol& protocol, State& state,
-                                    Xoshiro256& rng) const {
-  EngineResult result;
-  TelemetryDriver telemetry(config_.telemetry, result, protocol, state,
-                            config_.seed, /*threads=*/1, "sequential");
-  telemetry.round_row(0, state, 0);
-  SequentialTask task(protocol, state, rng, config_, result, telemetry);
-  const RoundRunResult rounds = run_rounds(task, config_.max_rounds);
-  result.rounds = rounds.rounds;
-  result.converged = rounds.converged;
-  result.termination =
-      rounds.converged ? Termination::kConverged : Termination::kRoundCap;
-  result.final_satisfied = state.count_satisfied();
-  result.all_satisfied = result.final_satisfied == state.num_users();
-  result.threads_used = 1;
-  telemetry.finish(state);
-  return result;
-}
-
-EngineResult Engine::run_step_users(Protocol& protocol, State& state,
-                                    Xoshiro256& rng) const {
-  // Fold one draw of the caller's RNG into the master seed so replications
-  // that advance that RNG (the established seeding idiom) stay distinct
-  // while (config, rng state) still pins the run exactly. The folded value
-  // is what a checkpoint stores — resume() reuses it without re-folding.
-  return drive_step_users(protocol, state, derive_seed(config_.seed, rng()),
-                          /*start_round=*/0, Counters{}, ChurnTracker{});
+  // Sharded protocols fold one draw of the caller's RNG into the master
+  // seed so replications that advance that RNG (the established seeding
+  // idiom) stay distinct while (config, rng state) still pins the run
+  // exactly. The folded value is what a checkpoint stores — resume() reuses
+  // it without re-folding. Step()-only protocols draw from `rng` itself, so
+  // nothing is folded and their stream starts where the caller left it.
+  const std::uint64_t master_seed = protocol.supports_step_users()
+                                        ? derive_seed(config_.seed, rng())
+                                        : config_.seed;
+  return drive(protocol, state, &rng, master_seed, /*start_round=*/0,
+               Counters{}, ChurnTracker{});
 }
 
 namespace {
@@ -662,47 +530,50 @@ void apply_churn_event(const ChurnEvent& event, State& state,
 
 }  // namespace
 
-EngineResult Engine::drive_step_users(Protocol& protocol, State& state,
-                                      std::uint64_t master_seed,
-                                      std::uint64_t start_round,
-                                      Counters start_counters,
-                                      ChurnTracker tracker) const {
+EngineResult Engine::drive(Protocol& protocol, State& state, Xoshiro256* rng,
+                           std::uint64_t master_seed,
+                           std::uint64_t start_round, Counters start_counters,
+                           ChurnTracker tracker) const {
   config_.churn.validate(state.num_resources());
   EngineResult result;
   result.counters = start_counters;
   result.rounds = start_round;
   const std::size_t n = state.num_users();
 
+  // Step()-only protocols run their round body inline: no pool, and
+  // threads_used reports 1.
+  const bool sharded = protocol.supports_step_users();
   ParallelRoundEngine::Options options;
-  options.threads =
-      config_.execution == RoundExecution::kSequential ? 1 : config_.threads;
+  options.threads = sharded ? config_.threads : 1;
   options.shard_size = config_.shard_size;
-  options.seed = master_seed;
   ParallelRoundEngine engine(options);
-  UserSetRoundTask task(protocol, state, result.counters);
+  UserSetRound task(protocol, state, result.counters);
 
   // Active mode iterates only the unsatisfied set; protocols whose
   // satisfied users do act (berenbrink) keep the dense scan regardless.
-  const bool active =
-      config_.mode == EngineMode::kActive && protocol.active_set_compatible();
+  const bool active = sharded && config_.mode == EngineMode::kActive &&
+                      protocol.active_set_compatible();
   std::vector<UserId> iteration;
-  if (!active) {
+  if (sharded && !active) {
     iteration.resize(n);
     std::iota(iteration.begin(), iteration.end(), UserId{0});
   }
 
   TelemetryDriver telemetry(config_.telemetry, result, protocol, state,
-                            options.seed, engine.threads(),
-                            active ? "active" : "dense");
+                            master_seed, engine.threads(),
+                            !sharded ? "sequential"
+                            : active ? "active"
+                                     : "dense");
   const obs::Clock* clock = config_.telemetry.clock;
-  obs::PhaseTimers* timers = &result.telemetry.phases;
-  obs::PerfCounters* perf =
-      result.telemetry.perf_available ? config_.telemetry.perf : nullptr;
-  obs::PhasePerf* phase_perf = &result.telemetry.perf;
+  obs::PhaseTimers* timers = telemetry.timers();
+  const obs::PerfCounters* perf = telemetry.perf();
+  obs::PhasePerf* phase_perf = telemetry.phase_perf();
   task.set_telemetry(clock, timers, perf, phase_perf);
   // The decision sample key is the run's master seed — the same value a
-  // checkpoint stores — so a resumed run samples the same users.
-  if (telemetry.decisions_on())
+  // checkpoint stores — so a resumed run samples the same users. A step()
+  // round has no per-shard records to drain.
+  const bool decisions = sharded && telemetry.decisions_on();
+  if (decisions)
     task.enable_decisions(master_seed, telemetry.decision_sample());
   telemetry.round_row(0, state, 0);
 
@@ -723,8 +594,8 @@ EngineResult Engine::drive_step_users(Protocol& protocol, State& state,
     // A run with unapplied churn events is never done — the schedule must
     // play out (and the system re-converge) first.
     if (pending_churn()) return false;
-    obs::ScopedPhase phase(clock, timers, obs::Phase::kSatisfactionCheck);
-    ScopedPerf perf_scope(perf, phase_perf, obs::Phase::kSatisfactionCheck);
+    obs::ScopedPhase phase(clock, timers, obs::Phase::kSatisfactionCheck,
+                           perf, phase_perf);
     if (state.count_satisfied() == n) return protocol.is_stable(state);
     if (rounds_done % config_.stability_check_period == 0)
       return protocol.is_stable(state);
@@ -747,51 +618,39 @@ EngineResult Engine::drive_step_users(Protocol& protocol, State& state,
         apply_churn_event(events[churn_idx], state, master_seed, tracker);
         ++churn_idx;
       }
-      if (active) {
-        // Sorted copy of the unsatisfied view: per-user streams make the
-        // draws order-independent, but the ascending order keeps the
-        // applied migration sequence — and hence the trajectory — exactly
-        // the dense scan's.
-        iteration.assign(state.unsatisfied_view().begin(),
-                         state.unsatisfied_view().end());
-        std::sort(iteration.begin(), iteration.end());
-      }
-      task.set_round(iteration, RoundRng(options.seed, r));
-      // Mirror the clock's subtraction for the hardware counters: whole-
-      // round reading minus what commit() already claimed is the step share.
-      const obs::PerfSample perf_commit0 =
-          perf != nullptr ? (*phase_perf)[obs::Phase::kCommit]
-                          : obs::PerfSample{};
-      const obs::PerfSample perf_before =
-          perf != nullptr ? perf->read() : obs::PerfSample{};
-      if (clock != nullptr) {
-        // The decide fan-out joins inside round() and commit() runs on this
-        // thread, so round-wall minus the commit's own bucket delta is the
-        // decide (step) time — no per-worker clock reads needed.
-        const double commit_before =
-            (*timers)[obs::Phase::kCommit].seconds;
-        const double start = clock->now();
-        engine.round(task, iteration.size(), r);
-        const double elapsed = clock->now() - start;
-        timers->add(obs::Phase::kStep,
-                    elapsed - ((*timers)[obs::Phase::kCommit].seconds -
-                               commit_before));
+      if (!sharded) {
+        obs::ScopedPhase step(clock, timers, obs::Phase::kStep, perf,
+                              phase_perf);
+        protocol.step(state, *rng, result.counters);
       } else {
-        engine.round(task, iteration.size(), r);
-      }
-      if (perf != nullptr) {
-        const obs::PerfSample share = perf_step_share(
-            perf_before, perf->read(), perf_commit0,
-            (*phase_perf)[obs::Phase::kCommit]);
-        (*phase_perf)[obs::Phase::kStep].cycles += share.cycles;
-        (*phase_perf)[obs::Phase::kStep].instructions += share.instructions;
-        (*phase_perf)[obs::Phase::kStep].cache_misses += share.cache_misses;
-        (*phase_perf)[obs::Phase::kStep].branch_misses += share.branch_misses;
+        if (active) {
+          // Sorted copy of the unsatisfied view: per-user streams make the
+          // draws order-independent, but the ascending order keeps the
+          // applied migration sequence — and hence the trajectory — exactly
+          // the dense scan's.
+          iteration.assign(state.unsatisfied_view().begin(),
+                           state.unsatisfied_view().end());
+          std::sort(iteration.begin(), iteration.end());
+        }
+        {
+          // kStep spans the round-boundary snapshot and the decide fan-out;
+          // the commit below is timed in its own kCommit span.
+          obs::ScopedPhase step(clock, timers, obs::Phase::kStep, perf,
+                                phase_perf);
+          task.begin_round(iteration, RoundRng(master_seed, r),
+                           engine.num_shards(iteration.size()));
+          engine.for_each_shard(
+              iteration.size(),
+              [&task](std::size_t shard, std::size_t begin, std::size_t end) {
+                task.decide(shard, begin, end);
+              });
+        }
+        task.commit();
       }
       ++result.counters.rounds;
       ++result.rounds;
       ++rounds_done;
-      if (telemetry.decisions_on())
+      if (decisions)
         telemetry.decision_round(rounds_done, state, task.decision_shards(),
                                  task.round_diag());
       tracker.on_round_end(rounds_done, state.count_satisfied(), n);
@@ -801,7 +660,8 @@ EngineResult Engine::drive_step_users(Protocol& protocol, State& state,
       if (config_.invariant_check_period != 0 &&
           rounds_done % config_.invariant_check_period == 0)
         state.check_invariants();
-      telemetry.round_row(rounds_done, state, iteration.size());
+      // A dense or step() round visits every user.
+      telemetry.round_row(rounds_done, state, active ? iteration.size() : n);
       if (converged()) {
         result.converged = true;
         break;
@@ -857,9 +717,8 @@ EngineResult Engine::resume(Protocol& protocol, const SnapshotV1& snapshot,
   std::istringstream protocol_state(snapshot.protocol_state);
   protocol.snapshot_read(protocol_state);
   state.enable_satisfaction_tracking();
-  return drive_step_users(protocol, state, snapshot.master_seed,
-                          snapshot.next_round, snapshot.counters,
-                          snapshot.churn);
+  return drive(protocol, state, /*rng=*/nullptr, snapshot.master_seed,
+               snapshot.next_round, snapshot.counters, snapshot.churn);
 }
 
 EngineResult Engine::run(WeightedProtocol& protocol, WeightedState& state,

@@ -94,6 +94,8 @@ PerfSample PerfCounters::read() const { return PerfSample{}; }
 
 #endif
 
+PerfSample ScopedPhase::read(const PerfCounters* perf) { return perf->read(); }
+
 void PhasePerf::add(Phase phase, const PerfSample& before,
                     const PerfSample& after) {
   const auto delta = [](std::uint64_t lo, std::uint64_t hi) {

@@ -7,15 +7,6 @@
 
 namespace qoslb::obs {
 
-/// One reading of the four tracked hardware counters. All zero when the
-/// counters are unavailable.
-struct PerfSample {
-  std::uint64_t cycles = 0;
-  std::uint64_t instructions = 0;
-  std::uint64_t cache_misses = 0;
-  std::uint64_t branch_misses = 0;
-};
-
 /// Thin `perf_event_open` wrapper: opens cycles / instructions /
 /// cache-misses / branch-misses counters for the *calling thread* and reads
 /// them on demand. Where the syscall is unavailable or forbidden (non-Linux,
@@ -45,24 +36,6 @@ class PerfCounters {
  private:
   std::array<int, 4> fds_{{-1, -1, -1, -1}};
   bool available_ = false;
-};
-
-/// Per-phase hardware-counter totals, attributed on the driving thread with
-/// the same before/after subtraction the phase clock uses. Mirrors
-/// PhaseTimers; lives on RunTelemetry.
-struct PhasePerf {
-  std::array<PerfSample, kNumPhases> totals{};
-
-  PerfSample& operator[](Phase phase) {
-    return totals[static_cast<std::size_t>(phase)];
-  }
-  const PerfSample& operator[](Phase phase) const {
-    return totals[static_cast<std::size_t>(phase)];
-  }
-
-  /// Adds the (after - before) delta into `phase`, saturating at zero per
-  /// counter (counter multiplexing can make raw reads non-monotonic).
-  void add(Phase phase, const PerfSample& before, const PerfSample& after);
 };
 
 }  // namespace qoslb::obs

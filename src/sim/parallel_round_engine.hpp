@@ -1,54 +1,26 @@
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
-#include <cstdint>
-#include <functional>
 #include <memory>
 
-#include "rng/philox.hpp"
 #include "sim/worker_pool.hpp"
+#include "util/check.hpp"
 
 namespace qoslb {
 
-/// One synchronous round decomposed for sharded execution: the engine calls
-/// begin_round() once (snapshot the round-boundary state, size the shard
-/// buffers), fans decide() out over the shards — concurrently when a pool is
-/// attached — and finally calls commit() on the driving thread.
-///
-/// The task owns its buffers; decide() for different shards must be
-/// mutually independent (write only shard-local data, read only the
-/// round-boundary snapshot), which is what makes the fan-out safe.
-class ShardedRoundTask {
- public:
-  virtual ~ShardedRoundTask() = default;
-
-  /// Called once per round, before any decide(), with the shard count.
-  virtual void begin_round(std::size_t num_shards) = 0;
-
-  /// Decides for items [begin, end); `shard` is the shard index and `rng`
-  /// the shard's private counter-based substream. May run concurrently with
-  /// other shards of the same round.
-  virtual void decide(std::size_t shard, std::size_t begin, std::size_t end,
-                      PhiloxEngine& rng) = 0;
-
-  /// Applies the round. Runs on the driving thread after every decide() of
-  /// the round has returned.
-  virtual void commit() = 0;
-};
-
-/// Sharded parallel executor for synchronous rounds (docs/engine.md).
+/// Sharded fan-out for the decide phase of a synchronous round
+/// (docs/engine.md).
 ///
 /// Items (users) are partitioned into fixed-size shards — the partition
 /// depends only on `shard_size` and the item count, never on the worker
-/// count — and each shard decides against the immutable round snapshot.
-/// Each shard still receives a deterministic Philox substream keyed by
-/// (seed, round, shard) for tasks that want per-shard draws; the engine's
-/// protocol task ignores it in favor of per-(seed, round, user) streams
-/// (rng/round_rng.hpp), which additionally make results independent of the
-/// shard geometry and of which users are iterated at all. Workers merely
-/// execute shards; since no shard reads another shard's output and commit()
-/// consumes the buffers in shard order, the results are bit-identical for
-/// every thread count, including the inline serial path.
+/// count — and for_each_shard() runs one body per shard, on the pool or
+/// inline. The round driver (Engine) snapshots the round boundary before
+/// the fan-out and commits after it, on its own thread. Shard bodies write
+/// only shard-local buffers and draw from per-(seed, round, user) streams
+/// (rng/round_rng.hpp), and the commit consumes the buffers in shard order,
+/// so results are bit-identical for every thread count and shard size,
+/// including the inline serial path.
 ///
 /// The fan-out runs on a persistent RoundWorkerPool (sim/worker_pool.hpp):
 /// workers are spawned once and parked on a condition variable between
@@ -60,43 +32,42 @@ class ParallelRoundEngine {
   struct Options {
     /// Worker threads: 0 = hardware concurrency, 1 = inline serial (no pool).
     std::size_t threads = 0;
-    /// Items per shard. Fixed so the RNG substream assignment — and hence
-    /// the result — is invariant under the thread count. The default keeps
-    /// a shard's working set (assignment + threshold arrays plus its slice
-    /// of the load snapshot) comfortably inside a per-core L2 while leaving
-    /// >= 8 shards of claimable work per million users; results do not
-    /// depend on it (per-user substreams), so it is a pure tuning knob.
+    /// Items per shard. The default keeps a shard's working set (assignment
+    /// + threshold arrays plus its slice of the load snapshot) comfortably
+    /// inside a per-core L2 while leaving >= 8 shards of claimable work per
+    /// million users; results do not depend on it (per-user substreams), so
+    /// it is a pure tuning knob.
     std::size_t shard_size = 8192;
-    /// Master seed the per-(round, shard) substream keys derive from.
-    std::uint64_t seed = 1;
   };
 
-  explicit ParallelRoundEngine(Options options);
-  ~ParallelRoundEngine();
-
-  ParallelRoundEngine(const ParallelRoundEngine&) = delete;
-  ParallelRoundEngine& operator=(const ParallelRoundEngine&) = delete;
+  explicit ParallelRoundEngine(Options options) : options_(options) {
+    QOSLB_REQUIRE(options_.shard_size >= 1, "shard_size must be positive");
+    if (options_.threads != 1)
+      pool_ = std::make_unique<RoundWorkerPool>(options_.threads);
+  }
 
   std::size_t threads() const { return pool_ ? pool_->participants() : 1; }
-  std::size_t num_shards(std::size_t num_items) const;
+  std::size_t num_shards(std::size_t num_items) const {
+    return std::max<std::size_t>(
+        1, (num_items + options_.shard_size - 1) / options_.shard_size);
+  }
 
-  /// Executes one round of `task` over `num_items` items: begin_round, the
-  /// sharded decide fan-out, commit.
-  void round(ShardedRoundTask& task, std::size_t num_items,
-             std::uint64_t round_index);
-
-  /// Shards [0, num_items) with the same fixed partition as round(), runs
-  /// `body(begin, end)` on the pool, and returns the sum of the results in
-  /// shard order. Used for O(n) per-round scans (e.g. satisfied counts) that
-  /// would otherwise serialize the round loop.
-  std::uint64_t map_reduce(
-      std::size_t num_items,
-      const std::function<std::uint64_t(std::size_t, std::size_t)>& body);
-
-  /// Substream key for (seed, round, shard): two chained SplitMix64
-  /// derivations, so distinct coordinates give decorrelated Philox streams.
-  static std::uint64_t substream_key(std::uint64_t seed, std::uint64_t round,
-                                     std::uint64_t shard);
+  /// Runs `body(shard, begin, end)` for every shard of [0, num_items) and
+  /// returns once all have finished. Bodies of different shards may run
+  /// concurrently; the first exception any of them throws is rethrown here.
+  template <typename Body>
+  void for_each_shard(std::size_t num_items, const Body& body) {
+    const std::size_t shards = num_shards(num_items);
+    const auto run_shard = [&](std::size_t s) {
+      const std::size_t begin = s * options_.shard_size;
+      body(s, begin, std::min(num_items, begin + options_.shard_size));
+    };
+    if (pool_) {
+      pool_->run(shards, run_shard);
+    } else {
+      for (std::size_t s = 0; s < shards; ++s) run_shard(s);
+    }
+  }
 
  private:
   Options options_;

@@ -14,10 +14,11 @@ namespace qoslb {
 
 /// Persistent round-scoped worker pool (docs/performance.md §execution).
 ///
-/// The generic util::ThreadPool pays one heap-allocated std::function plus
-/// one queue lock per shard per round — at bench scales that overhead alone
-/// made 2-thread rounds slower than 1 thread. This pool is specialized for
-/// the round fan-out pattern instead:
+/// The library's one thread substrate (qoslb-lint QL010 bans spawning
+/// anywhere else). A generic task queue pays one heap-allocated
+/// std::function plus one queue lock per shard per round — at bench scales
+/// that overhead alone made 2-thread rounds slower than 1 thread. This pool
+/// is specialized for the round fan-out pattern instead:
 ///
 ///   * workers are spawned once and parked on a condition variable between
 ///     rounds — no per-round thread creation;

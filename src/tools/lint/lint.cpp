@@ -49,8 +49,8 @@ const std::vector<RuleInfo>& rules() {
        "sample_reachable()/reachable_target()"},
       {"QL010",
        "thread spawning (std::thread construction, std::jthread, std::async, "
-       "pthread_create) in src/core/ or src/sim/ outside "
-       "sim/worker_pool.* — rounds must run on the persistent worker pool"},
+       "pthread_create) anywhere under src/ outside sim/worker_pool.* — "
+       "the persistent worker pool is the one parallel substrate"},
       {"QL011",
        "include-graph layering: each src/ layer may include only the layers "
        "below it in the declared map (engine.{hpp,cpp} and core/async/ are "
@@ -61,7 +61,7 @@ const std::vector<RuleInfo>& rules() {
        "and apply in commit_round()"},
       {"QL013",
        "PhiloxEngine construction outside src/rng/ whose key does not flow "
-       "through derive_seed()/user_stream()/substream_key()/mix64()"},
+       "through derive_seed()/user_stream()/mix64()"},
       {"QL014",
        "snapshot coverage: every persistent member of a serialized struct "
        "must be written by its serializer or annotated "

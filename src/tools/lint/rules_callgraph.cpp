@@ -147,7 +147,7 @@ void rule_ql012(const Context& ctx, std::vector<Finding>& out) {
 /// conventional variable name for one.
 bool sanctioned_expr(const std::string& expr) {
   static const std::regex kSanctioned(
-      R"(\b(derive_seed|user_stream|substream_key|mix64|round_key|round_rng|RoundRng)\b)");
+      R"(\b(derive_seed|user_stream|mix64|round_key|round_rng|RoundRng)\b)");
   return std::regex_search(expr, kSanctioned);
 }
 
@@ -279,7 +279,7 @@ void rule_ql013(const Context& ctx, std::vector<Finding>& out) {
           "QL013", f.rel, line,
           "PhiloxEngine keyed with '" + args[0] +
               "', which does not flow through derive_seed()/user_stream()/"
-              "substream_key()/mix64() — ad-hoc keys collide across "
+              "mix64() — ad-hoc keys collide across "
               "(seed, round, user) substreams and break replay"};
       if (enclosing != nullptr) {
         finding.why = {f.rel + ":" + std::to_string(enclosing->begin_line) +

@@ -59,7 +59,6 @@ bool ql002_applies(const std::string& rel) {
   return starts_with(rel, "src/core/protocols/") ||
          rel == "src/core/engine.cpp" || rel == "src/core/engine.hpp" ||
          rel == "src/sim/parallel_round_engine.hpp" ||
-         rel == "src/sim/parallel_round_engine.cpp" ||
          rel == "src/core/satisfaction_index.hpp";
 }
 
@@ -191,17 +190,16 @@ void rule_ql007(const SourceFile& f, std::vector<Finding>& out) {
 }
 
 // ---------------------------------------------------------------------------
-// QL010 — thread spawning inside the simulation core
+// QL010 — thread spawning anywhere in the library
 // ---------------------------------------------------------------------------
 
 void rule_ql010(const SourceFile& f, std::vector<Finding>& out) {
-  if (!starts_with(f.rel, "src/core/") && !starts_with(f.rel, "src/sim/"))
-    return;
-  // The persistent pool is the single sanctioned spawn site: it creates its
-  // workers once and parks them between rounds, which is exactly the
-  // per-round spawn cost this rule exists to keep out of the round loop.
-  const std::string base = fs::path(f.rel).filename().string();
-  if (starts_with(base, "worker_pool.")) return;
+  if (!starts_with(f.rel, "src/")) return;
+  // The persistent pool is the single sanctioned spawn site — the one
+  // parallel substrate: it creates its workers once and parks them between
+  // rounds, which is exactly the per-round spawn cost this rule exists to
+  // keep out of the round loop, and no second pool may grow beside it.
+  if (starts_with(f.rel, "src/sim/worker_pool.")) return;
   // `std::thread` followed by `::` is a static member access
   // (std::thread::hardware_concurrency, std::thread::id) — reading those is
   // fine; constructing a thread is not. `std::this_thread` never matches
@@ -213,7 +211,7 @@ void rule_ql010(const SourceFile& f, std::vector<Finding>& out) {
       {std::regex(R"(\bpthread_create\b)"), "pthread_create"},
   };
   scan_patterns(f, kBanned, "QL010",
-                " in the simulation core — per-round code must hand work to "
+                " outside sim/worker_pool.* — parallel work must go through "
                 "the persistent RoundWorkerPool (sim/worker_pool.hpp); "
                 "spawning threads per round is the dispatch overhead the "
                 "pool exists to eliminate",

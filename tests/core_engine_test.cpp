@@ -2,21 +2,23 @@
 // engine (PR 3).
 //
 // Covers the contracts the engine stands on:
-//   1. mode/thread invariance: dense and active-set modes, every tested
-//      thread count, and the kSequential policy all produce bit-identical
-//      assignments, trajectories, and counters, because randomness is keyed
-//      by (seed, round, user) and commits merge in shard order;
+//   1. mode/thread invariance: dense and active-set modes and every tested
+//      thread count all produce bit-identical assignments, trajectories,
+//      and counters, because randomness is keyed by (seed, round, user) and
+//      commits merge in shard order;
 //   2. step_users splitting equivalence: slicing a round's user list into
 //      shards that share one RoundRng is exactly the default step() — each
 //      user's draws come from its own substream;
 //   3. facade regressions: Engine::run_async_admission matches the PR 1
-//      fault-tolerant DES results, and sharded execution falls back to the
-//      sequential driver for protocols without step_users;
+//      fault-tolerant DES results, protocols without step_users run inline
+//      on one thread whatever config.threads says, and they reject the
+//      churn/checkpoint features only the sharded round body supports;
 //   4. the (seed, round, user) substream golden values are frozen.
 
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <stdexcept>
 #include <vector>
 
 #include "net/generators.hpp"
@@ -77,16 +79,14 @@ TEST_P(ModeThreadInvariance, DenseActiveAndEveryThreadCountMatch) {
 
   struct RunCase {
     EngineMode mode;
-    RoundExecution execution;
     std::size_t threads;
   };
   std::vector<RunCase> cases;
-  cases.push_back({EngineMode::kDense, RoundExecution::kAuto, 1});  // reference
+  cases.push_back({EngineMode::kDense, 1});  // reference
   for (const std::size_t threads : {2u, 4u, 8u})
-    cases.push_back({EngineMode::kDense, RoundExecution::kAuto, threads});
+    cases.push_back({EngineMode::kDense, threads});
   for (const std::size_t threads : {1u, 2u, 4u, 8u})
-    cases.push_back({EngineMode::kActive, RoundExecution::kAuto, threads});
-  cases.push_back({EngineMode::kDense, RoundExecution::kSequential, 8});
+    cases.push_back({EngineMode::kActive, threads});
 
   std::vector<ResourceId> reference;
   EngineResult reference_result;
@@ -100,7 +100,6 @@ TEST_P(ModeThreadInvariance, DenseActiveAndEveryThreadCountMatch) {
     const auto protocol = make_protocol(spec);
     EngineConfig config;
     config.mode = run.mode;
-    config.execution = run.execution;
     config.threads = run.threads;
     config.shard_size = 128;
     config.max_rounds = 400;
@@ -223,7 +222,6 @@ TEST(EngineSharded, FallsBackToSequentialWithoutStepUsers) {
   spec.kind = "seq-br";  // no step_users implementation
 
   EngineConfig sharded;
-  sharded.execution = RoundExecution::kSharded;
   sharded.threads = 4;
   State state_sharded = State::all_on(instance, 0);
   Xoshiro256 rng_sharded(21);
@@ -237,6 +235,35 @@ TEST(EngineSharded, FallsBackToSequentialWithoutStepUsers) {
   const EngineResult b = Engine(EngineConfig{}).run(*p2, state_seq, rng_seq);
   EXPECT_EQ(assignment_of(state_sharded), assignment_of(state_seq));
   EXPECT_EQ(a.rounds, b.rounds);
+}
+
+// Churn events and checkpoints fire at the round-boundary cut of the sharded
+// round body; a step() round has none, so the engine refuses them up front.
+TEST(EngineSharded, StepOnlyProtocolRejectsChurnPlan) {
+  const Instance instance = test_instance(100, 8, 5);
+  ProtocolSpec spec;
+  spec.kind = "seq-br";
+  const auto protocol = make_protocol(spec);
+  EngineConfig config;
+  config.churn.fail(/*round=*/2, /*resource=*/3);
+  State state = State::all_on(instance, 0);
+  Xoshiro256 rng(1);
+  EXPECT_THROW(Engine(config).run(*protocol, state, rng),
+               std::invalid_argument);
+}
+
+TEST(EngineSharded, StepOnlyProtocolRejectsSnapshotRounds) {
+  const Instance instance = test_instance(100, 8, 5);
+  ProtocolSpec spec;
+  spec.kind = "seq-br";
+  const auto protocol = make_protocol(spec);
+  EngineConfig config;
+  config.snapshot_rounds = {1};
+  config.snapshot_sink = [](const SnapshotV1&) {};
+  State state = State::all_on(instance, 0);
+  Xoshiro256 rng(1);
+  EXPECT_THROW(Engine(config).run(*protocol, state, rng),
+               std::invalid_argument);
 }
 
 TEST(EngineTermination, RoundCapAndConvergedAreDistinguished) {
@@ -304,13 +331,6 @@ TEST(Registry, NewKindsForwardTheirKnobs) {
   cached.lambda = 0.5;
   cached.ttl = 3;
   EXPECT_EQ(make_protocol(cached)->name(), "cached(lambda=0.5,ttl=3)");
-
-  ProtocolSpec par;
-  par.kind = "par-uniform";
-  par.lambda = 0.5;
-  par.threads = 2;
-  const auto protocol = make_protocol(par);
-  EXPECT_NE(protocol->name().find("par-uniform"), std::string::npos);
 }
 
 // ---- substream scheme ----
@@ -343,27 +363,96 @@ TEST(RoundRng, StreamsAreSeekableAndPrivate) {
   EXPECT_NE(streams.user_stream(124)(), first);
 }
 
-TEST(ParallelRoundEngine, SubstreamKeysAreStableAndDistinct) {
-  const std::uint64_t base = ParallelRoundEngine::substream_key(42, 0, 0);
-  EXPECT_EQ(ParallelRoundEngine::substream_key(42, 0, 0), base);
-  EXPECT_NE(ParallelRoundEngine::substream_key(42, 0, 1), base);
-  EXPECT_NE(ParallelRoundEngine::substream_key(42, 1, 0), base);
-  EXPECT_NE(ParallelRoundEngine::substream_key(43, 0, 0), base);
-}
+// ---- shard fan-out ----
 
-TEST(ParallelRoundEngine, MapReduceSumsEveryItemOnce) {
+TEST(ParallelRoundEngine, ForEachShardCoversEveryItemOnce) {
   for (const std::size_t threads : {1u, 3u}) {
     ParallelRoundEngine::Options options;
     options.threads = threads;
     options.shard_size = 7;
     ParallelRoundEngine engine(options);
-    const std::uint64_t total =
-        engine.map_reduce(1000, [](std::size_t begin, std::size_t end) {
-          std::uint64_t sum = 0;
-          for (std::size_t i = begin; i < end; ++i) sum += i;
-          return sum;
-        });
-    EXPECT_EQ(total, 999u * 1000u / 2);
+    ASSERT_EQ(engine.num_shards(1000), 143u);
+    // Each shard writes only its own slots, as the decide fan-out does.
+    std::vector<int> visits(1000, 0);
+    std::vector<std::size_t> shard_of(1000, 0);
+    engine.for_each_shard(1000, [&](std::size_t shard, std::size_t begin,
+                                    std::size_t end) {
+      for (std::size_t i = begin; i < end; ++i) {
+        ++visits[i];
+        shard_of[i] = shard;
+      }
+    });
+    EXPECT_EQ(visits, std::vector<int>(1000, 1)) << "threads=" << threads;
+    for (std::size_t i = 0; i < 1000; ++i)
+      ASSERT_EQ(shard_of[i], i / 7) << "threads=" << threads;
+  }
+}
+
+TEST(ParallelRoundEngine, NumShardsRoundsUpAndNeverReturnsZero) {
+  ParallelRoundEngine::Options options;
+  options.threads = 1;
+  options.shard_size = 7;
+  const ParallelRoundEngine engine(options);
+  EXPECT_EQ(engine.num_shards(0), 1u);
+  EXPECT_EQ(engine.num_shards(1), 1u);
+  EXPECT_EQ(engine.num_shards(7), 1u);
+  EXPECT_EQ(engine.num_shards(8), 2u);
+  EXPECT_EQ(engine.num_shards(14), 2u);
+}
+
+TEST(ParallelRoundEngine, EmptyInputRunsOneEmptyShard) {
+  for (const std::size_t threads : {1u, 3u}) {
+    ParallelRoundEngine::Options options;
+    options.threads = threads;
+    ParallelRoundEngine engine(options);
+    int calls = 0;
+    engine.for_each_shard(0, [&](std::size_t shard, std::size_t begin,
+                                 std::size_t end) {
+      ++calls;
+      EXPECT_EQ(shard, 0u);
+      EXPECT_EQ(begin, 0u);
+      EXPECT_EQ(end, 0u);
+    });
+    EXPECT_EQ(calls, 1) << "threads=" << threads;
+  }
+}
+
+TEST(ParallelRoundEngine, ThreadsReportsTheParticipants) {
+  ParallelRoundEngine::Options options;
+  options.threads = 1;
+  EXPECT_EQ(ParallelRoundEngine(options).threads(), 1u);
+  options.threads = 3;
+  EXPECT_EQ(ParallelRoundEngine(options).threads(), 3u);
+  options.threads = 0;  // hardware concurrency
+  EXPECT_GE(ParallelRoundEngine(options).threads(), 1u);
+}
+
+TEST(ParallelRoundEngine, RejectsZeroShardSize) {
+  ParallelRoundEngine::Options options;
+  options.threads = 1;
+  options.shard_size = 0;
+  EXPECT_THROW(ParallelRoundEngine{options}, std::invalid_argument);
+}
+
+TEST(ParallelRoundEngine, RethrowsAShardExceptionAndStaysUsable) {
+  for (const std::size_t threads : {1u, 3u}) {
+    ParallelRoundEngine::Options options;
+    options.threads = threads;
+    options.shard_size = 10;
+    ParallelRoundEngine engine(options);
+    EXPECT_THROW(engine.for_each_shard(
+                     100,
+                     [](std::size_t shard, std::size_t, std::size_t) {
+                       if (shard == 4) throw std::runtime_error("boom");
+                     }),
+                 std::runtime_error)
+        << "threads=" << threads;
+    std::vector<int> visits(100, 0);
+    engine.for_each_shard(100, [&](std::size_t, std::size_t begin,
+                                   std::size_t end) {
+      for (std::size_t i = begin; i < end; ++i) ++visits[i];
+    });
+    EXPECT_EQ(visits, std::vector<int>(100, 1)) << "threads=" << threads;
   }
 }
 

@@ -10,6 +10,6 @@ unsigned long long draw(unsigned long long key) {
   return rng.next();
 }
 
-unsigned long long replicate(unsigned long long seed) { return draw(mix64(seed)); }
+unsigned long long mixed_draw(unsigned long long seed) { return draw(mix64(seed)); }
 
 }  // namespace keyfix

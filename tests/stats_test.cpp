@@ -9,7 +9,6 @@
 #include "stats/histogram.hpp"
 #include "stats/quantile.hpp"
 #include "stats/regression.hpp"
-#include "stats/replication.hpp"
 #include "stats/summary.hpp"
 
 namespace qoslb {
@@ -297,39 +296,6 @@ TEST(Bootstrap, RejectsBadArguments) {
   const std::vector<double> one = {1.0};
   EXPECT_THROW(bootstrap_mean_ci(one, 1.5), std::invalid_argument);
   EXPECT_THROW(bootstrap_mean_ci(one, 0.05, 3), std::invalid_argument);
-}
-
-TEST(Replicate, DeterministicAcrossCalls) {
-  const auto body = [](std::uint64_t seed) {
-    Xoshiro256 rng(seed);
-    return uniform_real(rng);
-  };
-  const auto a = replicate(42, 16, body);
-  const auto b = replicate(42, 16, body);
-  EXPECT_EQ(a.samples, b.samples);
-}
-
-TEST(Replicate, ThreadedMatchesSerial) {
-  const auto body = [](std::uint64_t seed) {
-    Xoshiro256 rng(seed);
-    double acc = 0;
-    for (int i = 0; i < 100; ++i) acc += uniform_real(rng);
-    return acc;
-  };
-  const auto serial = replicate(7, 24, body, /*threads=*/1);
-  const auto threaded = replicate(7, 24, body, /*threads=*/4);
-  EXPECT_EQ(serial.samples, threaded.samples);
-}
-
-TEST(Replicate, AggregatesIntoStat) {
-  const auto r = replicate(1, 10, [](std::uint64_t) { return 2.0; });
-  EXPECT_EQ(r.stat.count(), 10u);
-  EXPECT_DOUBLE_EQ(r.stat.mean(), 2.0);
-}
-
-TEST(Replicate, RejectsZeroReplications) {
-  EXPECT_THROW(replicate(1, 0, [](std::uint64_t) { return 0.0; }),
-               std::invalid_argument);
 }
 
 }  // namespace

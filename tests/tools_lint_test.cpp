@@ -77,6 +77,7 @@ TEST(LintRules, ExactFixtureHitCounts) {
       {{"src/orphan.cpp", "QL004"}, 1},
       {{"src/sim/steady_clock_bad.cpp", "QL007"}, 2},
       {{"src/sim/thread_spawn_bad.cpp", "QL010"}, 4},
+      {{"src/util/worker_pool.cpp", "QL010"}, 2},
   };
   EXPECT_EQ(counts, expected);
 }
@@ -181,6 +182,18 @@ TEST(LintScope, Ql010ExemptsTheWorkerPoolItself) {
   // sim/worker_pool.* is the sanctioned spawn site: the same construction
   // that fires four findings above yields none here.
   EXPECT_TRUE(findings_for("src/sim/worker_pool.cpp").empty());
+}
+
+TEST(LintScope, Ql010CoversEveryLibraryDirectory) {
+  // The rule reaches past core/ and sim/, and its exemption is the
+  // sim/worker_pool.* path, not the file name: a pool in util/ is flagged
+  // even under the sanctioned basename.
+  const std::vector<Finding> fs = findings_for("src/util/worker_pool.cpp");
+  EXPECT_EQ(lines_of(fs), (std::vector<int>{12, 13}));
+  for (const Finding& f : fs) EXPECT_EQ(f.rule, "QL010");
+  ASSERT_EQ(fs.size(), 2u);
+  EXPECT_NE(fs[0].message.find("std::thread construction"), std::string::npos);
+  EXPECT_NE(fs[1].message.find("std::async"), std::string::npos);
 }
 
 TEST(LintSuppressions, SameLineAllowSilencesTheFinding) {
