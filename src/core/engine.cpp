@@ -158,9 +158,10 @@ class TelemetryDriver {
   /// Round-boundary hook (round 0 = the pre-run snapshot): samples the
   /// active-set-size histogram for executed rounds and emits the trace row,
   /// thinned by trace_every (round 0 and — via finish() — the final round
-  /// are always kept).
+  /// are always kept). `unsatisfied` is the round loop's one count of the
+  /// round, never recomputed here.
   void round_row(std::uint64_t round, const State& state,
-                 std::uint64_t active_size) {
+                 std::uint64_t active_size, std::size_t unsatisfied) {
     if (round != 0 && active_hist_.valid())
       options_.metrics->observe(active_hist_,
                                 static_cast<double>(active_size));
@@ -172,9 +173,10 @@ class TelemetryDriver {
       pending_ = true;
       pending_round_ = round;
       pending_active_ = active_size;
+      pending_unsatisfied_ = unsatisfied;
       return;
     }
-    emit(round, state, active_size);
+    emit(round, state, active_size, unsatisfied);
   }
 
   /// Post-commit hook for one executed round (driving thread, decisions
@@ -252,7 +254,8 @@ class TelemetryDriver {
   void finish(const State& state) {
     if (!options_.any()) return;
     if (options_.sink != nullptr) {
-      if (pending_) emit(pending_round_, state, pending_active_);
+      if (pending_)
+        emit(pending_round_, state, pending_active_, pending_unsatisfied_);
       options_.sink->end_run();
     }
     if (options_.decisions != nullptr) options_.decisions->end_run();
@@ -261,12 +264,12 @@ class TelemetryDriver {
 
  private:
   void emit(std::uint64_t round, const State& state,
-            std::uint64_t active_size) {
+            std::uint64_t active_size, std::size_t unsatisfied) {
     pending_ = false;
     obs::ScopedPhase phase(options_.clock, timers(), obs::Phase::kTrace);
     obs::TraceRow row;
     row.round = round;
-    row.unsatisfied = state.count_unsatisfied();
+    row.unsatisfied = unsatisfied;
     row.migrations = result_->counters.migrations;
     row.messages = result_->counters.messages();
     row.max_load = state.max_load();
@@ -282,16 +285,18 @@ class TelemetryDriver {
   bool pending_ = false;
   std::uint64_t pending_round_ = 0;
   std::uint64_t pending_active_ = 0;
+  std::size_t pending_unsatisfied_ = 0;
 };
 
 /// Binds Protocol::step_users/commit_round to the sharded fan-out over an
-/// explicit iteration list (all users in dense mode, the sorted unsatisfied
-/// set in active mode): begin_round() snapshots the round-boundary loads,
-/// decide() — one call per shard, possibly concurrent — writes into
-/// per-shard buffers and per-shard counters, and commit() merges both in
-/// shard order on the driving thread — so the outcome is independent of
-/// which worker executed which shard. Randomness comes from the round's
-/// per-user substreams, so it is independent of the shard partition too.
+/// explicit iteration list (all users in dense mode, the ascending
+/// unsatisfied set in active mode): begin_round() snapshots the
+/// round-boundary loads, decide() — one call per shard, possibly
+/// concurrent — writes into per-shard buffers and per-shard counters, and
+/// commit() merges both in shard order on the driving thread — so the
+/// outcome is independent of which worker executed which shard. Randomness
+/// comes from the round's per-user substreams, so it is independent of the
+/// shard partition too.
 class UserSetRound {
  public:
   UserSetRound(Protocol& protocol, State& state, Counters& counters)
@@ -466,9 +471,6 @@ EngineResult Engine::run(Protocol& protocol, State& state,
                 "protocol '" + protocol.name() +
                     "' does not support restricted-assignment instances");
   protocol.reset();
-  // O(1) per-round satisfaction reads on every path; the build is O(n log n)
-  // once and idempotent across chained runs on the same state.
-  state.enable_satisfaction_tracking();
   // Sharded protocols fold one draw of the caller's RNG into the master
   // seed so replications that advance that RNG (the established seeding
   // idiom) stay distinct while (config, rng state) still pins the run
@@ -551,8 +553,12 @@ EngineResult Engine::drive(Protocol& protocol, State& state, Xoshiro256* rng,
 
   // Active mode iterates only the unsatisfied set; protocols whose
   // satisfied users do act (berenbrink) keep the dense scan regardless.
+  // Only an active run builds the satisfaction index (O(n log n) once,
+  // idempotent across chained runs): every other run reads satisfaction
+  // through the SoA scans, which need no upkeep per migration.
   const bool active = sharded && config_.mode == EngineMode::kActive &&
                       protocol.active_set_compatible();
+  if (active) state.enable_satisfaction_tracking();
   std::vector<UserId> iteration;
   if (sharded && !active) {
     iteration.resize(n);
@@ -575,7 +581,11 @@ EngineResult Engine::drive(Protocol& protocol, State& state, Xoshiro256* rng,
   const bool decisions = sharded && telemetry.decisions_on();
   if (decisions)
     task.enable_decisions(master_seed, telemetry.decision_sample());
-  telemetry.round_row(0, state, 0);
+  // The one satisfied count per round: taken at the boundary (after the
+  // commit) and shared by the convergence check, the churn tracker, the
+  // trajectory and the trace row. O(1) when tracked, one scan otherwise.
+  std::size_t satisfied = state.count_satisfied();
+  telemetry.round_row(0, state, 0, n - satisfied);
 
   // Already-applied schedule entries (rounds before start_round) are part of
   // the checkpointed liveness; only the tail replays.
@@ -596,7 +606,7 @@ EngineResult Engine::drive(Protocol& protocol, State& state, Xoshiro256* rng,
     if (pending_churn()) return false;
     obs::ScopedPhase phase(clock, timers, obs::Phase::kSatisfactionCheck,
                            perf, phase_perf);
-    if (state.count_satisfied() == n) return protocol.is_stable(state);
+    if (satisfied == n) return protocol.is_stable(state);
     if (rounds_done % config_.stability_check_period == 0)
       return protocol.is_stable(state);
     return false;
@@ -624,13 +634,15 @@ EngineResult Engine::drive(Protocol& protocol, State& state, Xoshiro256* rng,
         protocol.step(state, *rng, result.counters);
       } else {
         if (active) {
-          // Sorted copy of the unsatisfied view: per-user streams make the
+          // The bitmap enumerates ascending ids: per-user streams make the
           // draws order-independent, but the ascending order keeps the
           // applied migration sequence — and hence the trajectory — exactly
           // the dense scan's.
-          iteration.assign(state.unsatisfied_view().begin(),
-                           state.unsatisfied_view().end());
-          std::sort(iteration.begin(), iteration.end());
+          iteration.clear();
+          state.for_each_unsatisfied([&iteration](UserId u) {
+            iteration.push_back(u);
+            return true;
+          });
         }
         {
           // kStep spans the round-boundary snapshot and the decide fan-out;
@@ -653,15 +665,21 @@ EngineResult Engine::drive(Protocol& protocol, State& state, Xoshiro256* rng,
       if (decisions)
         telemetry.decision_round(rounds_done, state, task.decision_shards(),
                                  task.round_diag());
-      tracker.on_round_end(rounds_done, state.count_satisfied(), n);
+      {
+        obs::ScopedPhase phase(clock, timers, obs::Phase::kSatisfactionCheck,
+                               perf, phase_perf);
+        satisfied = state.count_satisfied();
+      }
+      tracker.on_round_end(rounds_done, satisfied, n);
       if (config_.record_trajectory)
         result.unsatisfied_trajectory.push_back(
-            static_cast<std::uint32_t>(n - state.count_satisfied()));
+            static_cast<std::uint32_t>(n - satisfied));
       if (config_.invariant_check_period != 0 &&
           rounds_done % config_.invariant_check_period == 0)
         state.check_invariants();
       // A dense or step() round visits every user.
-      telemetry.round_row(rounds_done, state, active ? iteration.size() : n);
+      telemetry.round_row(rounds_done, state, active ? iteration.size() : n,
+                          n - satisfied);
       if (converged()) {
         result.converged = true;
         break;
@@ -671,7 +689,7 @@ EngineResult Engine::drive(Protocol& protocol, State& state, Xoshiro256* rng,
 
   result.termination =
       result.converged ? Termination::kConverged : Termination::kRoundCap;
-  result.final_satisfied = state.count_satisfied();
+  result.final_satisfied = satisfied;
   result.all_satisfied = result.final_satisfied == n;
   result.threads_used = engine.threads();
   result.churn = tracker.stats;
@@ -716,7 +734,6 @@ EngineResult Engine::resume(Protocol& protocol, const SnapshotV1& snapshot,
                   "state liveness does not match the checkpoint");
   std::istringstream protocol_state(snapshot.protocol_state);
   protocol.snapshot_read(protocol_state);
-  state.enable_satisfaction_tracking();
   return drive(protocol, state, /*rng=*/nullptr, snapshot.master_seed,
                snapshot.next_round, snapshot.counters, snapshot.churn);
 }
@@ -727,7 +744,6 @@ EngineResult Engine::run(WeightedProtocol& protocol, WeightedState& state,
   // historical run_weighted_protocol semantics exactly).
   EngineResult result;
   protocol.reset();
-  state.enable_satisfaction_tracking();
   // Weighted runs fill metrics and phase timers; trace rows are a State
   // concept and stay empty (docs/observability.md).
   result.telemetry.enabled = config_.telemetry.any();

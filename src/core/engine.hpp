@@ -31,8 +31,9 @@ enum class Termination : std::uint8_t {
 enum class EngineMode : std::uint8_t {
   /// Scan all n users every round — the classic engine.
   kDense,
-  /// Iterate only the incrementally-tracked unsatisfied set, making round
-  /// cost O(|active| + migrations). Bit-identical to kDense for protocols
+  /// Iterate only the unsatisfied set of the state's satisfaction index
+  /// (which only these runs build), making round cost
+  /// O(n/64 + |active| + migrations). Bit-identical to kDense for protocols
   /// with active_set_compatible() (their satisfied users neither act nor
   /// draw); the others (berenbrink) silently run densely.
   kActive,
@@ -147,8 +148,11 @@ class Engine {
   const EngineConfig& config() const { return config_; }
 
   /// Drives `protocol` on `state` until stable or max_rounds, resetting the
-  /// protocol's adaptive state first and enabling the state's incremental
-  /// satisfaction tracking (so per-round satisfaction reads are O(1)).
+  /// protocol's adaptive state first. An active-mode run of an
+  /// active-set-compatible protocol enables the state's incremental
+  /// satisfaction index (O(1) per-round satisfaction reads); every other run
+  /// leaves the state untracked and reads satisfaction by one SoA scan per
+  /// round.
   /// Protocols implementing step_users() decide in shards with
   /// per-(seed, round, user) Philox substreams: the realization is
   /// deterministic in (config().seed, rng state) and bit-identical for

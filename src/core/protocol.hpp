@@ -68,6 +68,10 @@ struct MigrationBuffer {
   /// (e.g. AdaptiveSampling's migration-intent counts). Sized lazily by the
   /// protocol; summed across shards in commit_round().
   std::vector<std::uint32_t> resource_tallies;
+  /// The shard's prefilter survivors (unsatisfied_prefilter). Per shard,
+  /// not per thread, so once a shard has seen its largest user range its
+  /// capacity never grows again, whichever worker runs it.
+  std::vector<UserId> survivors;
   /// Non-null only while decision tracing is attached (engine-owned, one
   /// per shard). Protocols append a DecisionRecord for every *sampled*
   /// acting user, after all of that user's draws.

@@ -60,7 +60,8 @@ void AdaptiveSampling::step_users(const State& state,
     out.resource_tallies.assign(state.num_resources(), 0);
 
   const ResourceId* assignment = state.assignment().data();
-  for (const UserId u : unsatisfied_prefilter(state, snapshot, users, count)) {
+  for (const UserId u : unsatisfied_prefilter(state, snapshot, users, count,
+                                              out.survivors)) {
     const ResourceId current = assignment[u];
     PhiloxEngine rng = streams.user_stream(u);
     ResourceId best = kNoResource;
@@ -100,12 +101,13 @@ void AdaptiveSampling::step_users(const State& state,
 void AdaptiveSampling::commit_round(State& state,
                                     std::vector<MigrationBuffer>& shards,
                                     Counters& counters) {
-  std::vector<std::uint32_t> intents(state.num_resources(), 0);
+  // Roll the window in place (t-1 becomes t-2, the old t-2 buffer is reused
+  // for round t), so steady-state commits allocate nothing.
+  prev_intents_.swap(last_intents_);
+  last_intents_.assign(state.num_resources(), 0);
   for (const MigrationBuffer& shard : shards)
     for (std::size_t r = 0; r < shard.resource_tallies.size(); ++r)
-      intents[r] += shard.resource_tallies[r];
-  prev_intents_ = std::move(last_intents_);
-  last_intents_ = std::move(intents);
+      last_intents_[r] += shard.resource_tallies[r];
   for (MigrationBuffer& shard : shards)
     apply_all(state, shard.requests, counters);
 }

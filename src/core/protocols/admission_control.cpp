@@ -21,7 +21,8 @@ void AdmissionControl::step_users(const State& state,
                                   Counters& counters) {
   const Instance& instance = state.instance();
   const ResourceId* assignment = state.assignment().data();
-  for (const UserId u : unsatisfied_prefilter(state, snapshot, users, count)) {
+  for (const UserId u : unsatisfied_prefilter(state, snapshot, users, count,
+                                              out.survivors)) {
     const ResourceId current = assignment[u];
     PhiloxEngine rng = streams.user_stream(u);
     ResourceId best = kNoResource;
@@ -51,7 +52,7 @@ void AdmissionControl::commit_round(State& state,
                                     std::vector<MigrationBuffer>& shards,
                                     Counters& counters) {
   merge_shard_requests(shards, merge_scratch_);
-  apply_with_admission(state, merge_scratch_, counters);
+  apply_with_admission(state, merge_scratch_, counters, admission_scratch_);
 }
 
 }  // namespace qoslb

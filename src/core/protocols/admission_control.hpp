@@ -1,6 +1,7 @@
 #pragma once
 
 #include "core/protocol.hpp"
+#include "core/protocols/common.hpp"
 
 namespace qoslb {
 
@@ -34,9 +35,10 @@ class AdmissionControl : public Protocol {
 
  private:
   int probes_;
-  /// Commit-phase merge scratch, capacity reused across rounds (commit is
-  /// always sequential, so a member is race-free).
+  /// Commit-phase merge and admission scratch, capacity reused across
+  /// rounds (commit is always sequential, so members are race-free).
   std::vector<MigrationRequest> merge_scratch_;
+  AdmissionScratch admission_scratch_;
 };
 
 }  // namespace qoslb

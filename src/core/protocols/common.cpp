@@ -8,8 +8,7 @@ namespace qoslb {
 
 std::span<const UserId> unsatisfied_prefilter(
     const State& state, const std::vector<int>& load_snapshot,
-    const UserId* users, std::size_t count) {
-  thread_local std::vector<UserId> scratch;
+    const UserId* users, std::size_t count, std::vector<UserId>& scratch) {
   if (scratch.size() < count) scratch.resize(count);
   const std::size_t written = collect_unsatisfied(
       state.assignment().data(), state.current_thresholds().data(),
@@ -39,63 +38,65 @@ void apply_all(State& state, const std::vector<MigrationRequest>& requests,
   }
 }
 
-std::vector<int> resident_min_thresholds(const State& state) {
-  const Instance& instance = state.instance();
-  std::vector<int> min_threshold(state.num_resources(),
-                                 static_cast<int>(state.num_users()) + 1);
-  for (UserId u = 0; u < state.num_users(); ++u) {
-    const ResourceId r = state.resource_of(u);
-    const int t = instance.threshold(u, r);
+void resident_min_thresholds(const State& state, std::vector<int>& out) {
+  const auto& assignment = state.assignment();
+  const auto& thresholds = state.current_thresholds();
+  const auto& loads = state.loads();
+  out.assign(state.num_resources(), static_cast<int>(state.num_users()) + 1);
+  for (UserId u = 0; u < assignment.size(); ++u) {
+    const ResourceId r = assignment[u];
+    const int t = thresholds[u];
     // Only satisfied residents gate admission: an already-unsatisfied
     // resident cannot be hurt further, and protecting it would permanently
     // block resources that hold infeasible users.
-    if (t >= state.load(r)) min_threshold[r] = std::min(min_threshold[r], t);
+    if (t >= loads[r]) out[r] = std::min(out[r], t);
   }
-  return min_threshold;
 }
 
 void apply_with_admission(State& state,
                           const std::vector<MigrationRequest>& requests,
-                          Counters& counters) {
+                          Counters& counters, AdmissionScratch& scratch) {
   counters.migrate_requests += requests.size();
   if (requests.empty()) return;
 
   const Instance& instance = state.instance();
-  const std::vector<int> resident_min = resident_min_thresholds(state);
+  resident_min_thresholds(state, scratch.resident_min);
+  const std::vector<int>& resident_min = scratch.resident_min;
 
-  // Group requests by target resource.
-  std::vector<std::vector<UserId>> by_target(state.num_resources());
-  for (const MigrationRequest& req : requests)
-    by_target[req.target].push_back(req.user);
+  // One sort groups the requests by target (ascending, the order resources
+  // are processed in) and orders each group by descending threshold there.
+  std::vector<MigrationRequest>& sorted = scratch.sorted;
+  sorted.assign(requests.begin(), requests.end());
+  std::sort(sorted.begin(), sorted.end(),
+            [&](const MigrationRequest& a, const MigrationRequest& b) {
+              if (a.target != b.target) return a.target < b.target;
+              const int ta = instance.threshold(a.user, a.target);
+              const int tb = instance.threshold(b.user, b.target);
+              if (ta != tb) return ta > tb;
+              return a.user < b.user;  // deterministic tie-break
+            });
 
-  for (ResourceId r = 0; r < state.num_resources(); ++r) {
-    auto& requesters = by_target[r];
-    if (requesters.empty()) continue;
-    std::sort(requesters.begin(), requesters.end(),
-              [&](UserId a, UserId b) {
-                const int ta = instance.threshold(a, r);
-                const int tb = instance.threshold(b, r);
-                if (ta != tb) return ta > tb;
-                return a < b;  // deterministic tie-break
-              });
+  for (auto first = sorted.begin(); first != sorted.end();) {
+    const ResourceId r = first->target;
+    const auto last = std::find_if(first, sorted.end(),
+                                   [r](const MigrationRequest& req) {
+                                     return req.target != r;
+                                   });
+    const auto count = static_cast<std::size_t>(last - first);
     const int base_load = state.load(r);
     std::size_t admitted = 0;
-    while (admitted < requesters.size()) {
+    while (admitted < count) {
       const int k = static_cast<int>(admitted) + 1;
       const int post_load = base_load + k;
-      const int kth_threshold = instance.threshold(requesters[admitted], r);
+      const int kth_threshold = instance.threshold(first[admitted].user, r);
       if (post_load > resident_min[r] || post_load > kth_threshold) break;
       ++admitted;
     }
-    for (std::size_t i = 0; i < requesters.size(); ++i) {
-      if (i < admitted) {
-        state.move(requesters[i], r);
-        ++counters.migrations;
-        ++counters.grants;
-      } else {
-        ++counters.rejects;
-      }
-    }
+    for (std::size_t i = 0; i < admitted; ++i) state.move(first[i].user, r);
+    counters.migrations += admitted;
+    counters.grants += admitted;
+    counters.rejects += count - admitted;
+    first = last;
   }
 }
 

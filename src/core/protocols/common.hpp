@@ -48,12 +48,11 @@ inline bool reachable_target(const State& state, UserId u, ResourceId r) {
 /// loop: the survivors are exactly the users the historical
 ///     if (snapshot[current] <= threshold(u, current)) continue;
 /// prefilter would have reached, so draws and request-append order are
-/// bit-identical. Returns a view into thread-local scratch — valid until the
-/// calling thread's next prefilter (each engine shard runs on one thread, so
-/// shard-concurrent rounds are safe).
+/// bit-identical. Returns a view into `scratch` (the shard's
+/// MigrationBuffer::survivors), valid until its next prefilter.
 std::span<const UserId> unsatisfied_prefilter(
     const State& state, const std::vector<int>& load_snapshot,
-    const UserId* users, std::size_t count);
+    const UserId* users, std::size_t count, std::vector<UserId>& scratch);
 
 /// Merges one round's shard buffers into `out` in shard order — bit-identical
 /// to sequential concatenation, hence independent of which worker ran which
@@ -67,19 +66,28 @@ void merge_shard_requests(const std::vector<MigrationBuffer>& shards,
 void apply_all(State& state, const std::vector<MigrationRequest>& requests,
                Counters& counters);
 
+/// Buffers of apply_with_admission, owned by the calling protocol so their
+/// capacity is reused across rounds (commit is always sequential, so a
+/// member is race-free) and steady-state commits allocate nothing.
+struct AdmissionScratch {
+  std::vector<int> resident_min;         // per resource
+  std::vector<MigrationRequest> sorted;  // requests in grant-scan order
+};
+
 /// Resource-gated admission (protocol P4/P5-admission of DESIGN.md): each
 /// resource sorts its requesters by descending threshold and admits the
 /// longest prefix k such that the post-admission load keeps both the
 /// admitted requesters and the current residents satisfied:
 ///     load + k ≤ min(resident_min_threshold, k-th admitted threshold).
-/// Rejected requesters stay where they are. Returns number of migrations.
+/// Rejected requesters stay where they are.
 void apply_with_admission(State& state,
                           const std::vector<MigrationRequest>& requests,
-                          Counters& counters);
+                          Counters& counters, AdmissionScratch& scratch);
 
-/// Minimum threshold among the *currently satisfied* residents of each
-/// resource (num_users()+1 when there is none, i.e. no resident constraint).
-/// Unsatisfied residents do not gate admission — they cannot be hurt further.
-std::vector<int> resident_min_thresholds(const State& state);
+/// Fills `out` with the minimum threshold among the *currently satisfied*
+/// residents of each resource (num_users()+1 when there is none, i.e. no
+/// resident constraint). Unsatisfied residents do not gate admission — they
+/// cannot be hurt further.
+void resident_min_thresholds(const State& state, std::vector<int>& out);
 
 }  // namespace qoslb

@@ -35,7 +35,8 @@ void NeighborhoodSampling::step_users(const State& state,
   QOSLB_REQUIRE(graph_->num_vertices() == state.num_resources(),
                 "resource graph size mismatch");
   const ResourceId* assignment = state.assignment().data();
-  for (const UserId u : unsatisfied_prefilter(state, snapshot, users, count)) {
+  for (const UserId u : unsatisfied_prefilter(state, snapshot, users, count,
+                                              out.survivors)) {
     const ResourceId current = assignment[u];
     const auto neighbors = graph_->neighbors(current);
     if (neighbors.empty()) {
@@ -82,7 +83,7 @@ void NeighborhoodSampling::commit_round(State& state,
                                         Counters& counters) {
   if (commit_ == Commit::kAdmission) {
     merge_shard_requests(shards, merge_scratch_);
-    apply_with_admission(state, merge_scratch_, counters);
+    apply_with_admission(state, merge_scratch_, counters, admission_scratch_);
     return;
   }
   for (MigrationBuffer& shard : shards) apply_all(state, shard.requests, counters);
@@ -100,16 +101,8 @@ bool stable_user(const State& state, const Graph& graph, UserId u) {
 }  // namespace
 
 bool NeighborhoodSampling::is_stable(const State& state) const {
-  if (state.satisfaction_tracking()) {
-    for (const UserId u : state.unsatisfied_view())
-      if (!stable_user(state, *graph_, u)) return false;
-    return true;
-  }
-  for (UserId u = 0; u < state.num_users(); ++u) {
-    if (state.satisfied(u)) continue;
-    if (!stable_user(state, *graph_, u)) return false;
-  }
-  return true;
+  return state.for_each_unsatisfied(
+      [&](UserId u) { return stable_user(state, *graph_, u); });
 }
 
 }  // namespace qoslb

@@ -1,6 +1,7 @@
 #pragma once
 
 #include "core/protocol.hpp"
+#include "core/protocols/common.hpp"
 #include "net/graph.hpp"
 
 namespace qoslb {
@@ -43,8 +44,10 @@ class NeighborhoodSampling : public Protocol {
   Commit commit_;
   double migrate_prob_;
   int probes_;
-  /// Commit-phase merge scratch (admission variant), reused across rounds.
+  /// Commit-phase merge and admission scratch (admission variant), reused
+  /// across rounds.
   std::vector<MigrationRequest> merge_scratch_;
+  AdmissionScratch admission_scratch_;
 };
 
 }  // namespace qoslb

@@ -32,7 +32,8 @@ void UniformSampling::step_users(const State& state,
   // Branchless SoA pass first, probe loop only over the survivors — the
   // per-user draws and append order match the historical inline prefilter
   // bit-for-bit (unsatisfied_prefilter contract).
-  for (const UserId u : unsatisfied_prefilter(state, snapshot, users, count)) {
+  for (const UserId u : unsatisfied_prefilter(state, snapshot, users, count,
+                                              out.survivors)) {
     const ResourceId current = assignment[u];
     PhiloxEngine rng = streams.user_stream(u);
     ResourceId best = kNoResource;

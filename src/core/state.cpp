@@ -131,24 +131,14 @@ void State::move(UserId u, ResourceId r) {
   current_thresholds_[u] = threshold_on_new;
   if (index_)
     index_->on_move(u, old, threshold_on_old, r, threshold_on_new,
-                    loads_[old], loads_[r],
-                    /*delta=*/1);
+                    loads_[old], loads_[r]);
 }
 
 void State::enable_satisfaction_tracking() {
   if (index_) return;
   index_.emplace();
-  // const pointers select the SoA (non-template) rebuild overload.
-  index_->rebuild(num_users(), num_resources(),
-                  std::as_const(assignment_).data(),
-                  std::as_const(current_thresholds_).data(),
-                  std::as_const(loads_).data());
-}
-
-const std::vector<UserId>& State::unsatisfied_view() const {
-  QOSLB_REQUIRE(index_.has_value(),
-                "unsatisfied_view() needs enable_satisfaction_tracking()");
-  return index_->unsatisfied();
+  index_->rebuild(num_users(), num_resources(), assignment_.data(),
+                  current_thresholds_.data(), loads_.data());
 }
 
 double State::quality_of(UserId u) const {
@@ -198,16 +188,24 @@ void State::check_invariants() const {
       QOSLB_CHECK(instance_->rate(u, assignment_[u]) > 0.0,
                   "user resident on an unreachable resource");
   if (!index_) return;
-  std::size_t unsatisfied = 0;
-  for (UserId u = 0; u < assignment_.size(); ++u) {
-    const bool tracked = index_->is_unsatisfied(u);
-    QOSLB_CHECK(tracked == !satisfied(u),
-                "satisfaction index diverged from recompute");
-    if (tracked) ++unsatisfied;
-  }
-  QOSLB_CHECK(unsatisfied == index_->unsatisfied().size(),
-              "satisfaction index set size diverged");
-  QOSLB_CHECK(index_->satisfied_count() == assignment_.size() - unsatisfied,
+  // Every enumerated user is unsatisfied, ids strictly ascend (no
+  // duplicates), and the count matches a scan: the bitmap is exactly the
+  // recomputed unsatisfied set.
+  std::size_t listed = 0;
+  UserId next = 0;
+  for_each_unsatisfied([&](UserId u) {
+    QOSLB_CHECK(u >= next, "satisfaction index enumeration not ascending");
+    QOSLB_CHECK(!satisfied(u), "satisfaction index diverged from recompute");
+    next = u + 1;
+    ++listed;
+    return true;
+  });
+  const std::size_t unsatisfied =
+      num_users() - count_satisfied_dense(assignment_.data(),
+                                          current_thresholds_.data(),
+                                          loads_.data(), num_users());
+  QOSLB_CHECK(listed == unsatisfied, "satisfaction index set size diverged");
+  QOSLB_CHECK(index_->satisfied_count() == num_users() - unsatisfied,
               "satisfied counter diverged");
 }
 

@@ -1,10 +1,12 @@
 #pragma once
 
+#include <algorithm>
 #include <optional>
 #include <vector>
 
 #include "core/instance.hpp"
 #include "core/satisfaction_index.hpp"
+#include "core/satisfaction_scan.hpp"
 #include "core/types.hpp"
 #include "rng/xoshiro256.hpp"
 
@@ -87,16 +89,21 @@ class State {
   bool satisfied(UserId u) const;
 
   /// Turns on the incremental satisfaction index (idempotent; O(n log n)
-  /// build). Afterwards count_satisfied() is O(1), unsatisfied_view() is
-  /// available, and every move() additionally maintains the index in
-  /// O(log + #satisfaction flips). The engine enables this on every state
-  /// it drives; states used as plain containers can stay untracked.
+  /// build). Afterwards count_satisfied() is O(1), for_each_unsatisfied()
+  /// costs O(n / 64 + |unsatisfied|), and every move() additionally
+  /// maintains the index in O(log + #satisfaction flips). The engine enables
+  /// it for active-mode runs only; every other path reads satisfaction
+  /// through the SoA scans (core/satisfaction_scan.hpp).
   void enable_satisfaction_tracking();
   bool satisfaction_tracking() const { return index_.has_value(); }
 
-  /// The currently unsatisfied users in unspecified order (valid until the
-  /// next move). Requires satisfaction tracking.
-  const std::vector<UserId>& unsatisfied_view() const;
+  /// The one enumeration of the currently unsatisfied users: calls
+  /// `visit(u)` for each in ascending id order and stops as soon as a call
+  /// returns false; returns whether it visited all. Reads the index bitmap
+  /// when tracked and runs the branchless collect_unsatisfied scan over all
+  /// users otherwise — same users, same order.
+  template <typename Visit>
+  bool for_each_unsatisfied(const Visit& visit) const;
 
   std::size_t count_satisfied() const;
   std::size_t count_unsatisfied() const { return num_users() - count_satisfied(); }
@@ -121,7 +128,27 @@ class State {
   std::vector<std::uint8_t> live_;
   // live ids, ascending
   std::vector<ResourceId> live_list_;  // qoslb-snapshot: transient
-  std::optional<SatisfactionIndex<int>> index_;  // qoslb-snapshot: transient
+  std::optional<SatisfactionIndex> index_;  // qoslb-snapshot: transient
 };
+
+template <typename Visit>
+bool State::for_each_unsatisfied(const Visit& visit) const {
+  if (index_) return index_->for_each_unsatisfied(visit);
+  // Fixed-size stack chunks keep the untracked enumeration allocation-free.
+  constexpr std::size_t kChunk = 256;
+  UserId ids[kChunk] = {};
+  UserId unsatisfied[kChunk] = {};
+  for (std::size_t base = 0; base < num_users(); base += kChunk) {
+    const std::size_t count = std::min(kChunk, num_users() - base);
+    for (std::size_t i = 0; i < count; ++i)
+      ids[i] = static_cast<UserId>(base + i);
+    const std::size_t written = collect_unsatisfied(
+        assignment_.data(), current_thresholds_.data(), loads_.data(), ids,
+        count, unsatisfied);
+    for (std::size_t i = 0; i < written; ++i)
+      if (!visit(unsatisfied[i])) return false;
+  }
+  return true;
+}
 
 }  // namespace qoslb

@@ -52,25 +52,6 @@ void WeightedState::move(UserId u, ResourceId r) {
   loads_[old] -= w;
   loads_[r] += w;
   assignment_[u] = r;
-  if (index_)
-    index_->on_move(u, old, instance_->threshold(u, old), r,
-                    instance_->threshold(u, r), loads_[old], loads_[r],
-                    /*delta=*/w);
-}
-
-void WeightedState::enable_satisfaction_tracking() {
-  if (index_) return;
-  index_.emplace();
-  index_->rebuild(
-      num_users(), num_resources(), [&](UserId u) { return assignment_[u]; },
-      [&](UserId u) { return instance_->threshold(u, assignment_[u]); },
-      [&](ResourceId r) { return loads_[r]; });
-}
-
-const std::vector<UserId>& WeightedState::unsatisfied_view() const {
-  QOSLB_REQUIRE(index_.has_value(),
-                "unsatisfied_view() needs enable_satisfaction_tracking()");
-  return index_->unsatisfied();
 }
 
 bool WeightedState::satisfied(UserId u) const {
@@ -79,7 +60,6 @@ bool WeightedState::satisfied(UserId u) const {
 }
 
 std::size_t WeightedState::count_satisfied() const {
-  if (index_) return index_->satisfied_count();
   std::size_t count = 0;
   for (UserId u = 0; u < assignment_.size(); ++u)
     if (satisfied(u)) ++count;
@@ -98,18 +78,6 @@ void WeightedState::check_invariants() const {
   for (UserId u = 0; u < assignment_.size(); ++u)
     expected[assignment_[u]] += instance_->weight(u);
   QOSLB_CHECK(expected == loads_, "cached weight-loads diverged from assignment");
-  if (!index_) return;
-  std::size_t unsatisfied = 0;
-  for (UserId u = 0; u < assignment_.size(); ++u) {
-    const bool tracked = index_->is_unsatisfied(u);
-    QOSLB_CHECK(tracked == !satisfied(u),
-                "satisfaction index diverged from recompute");
-    if (tracked) ++unsatisfied;
-  }
-  QOSLB_CHECK(unsatisfied == index_->unsatisfied().size(),
-              "satisfaction index set size diverged");
-  QOSLB_CHECK(index_->satisfied_count() == assignment_.size() - unsatisfied,
-              "satisfied counter diverged");
 }
 
 bool weighted_satisfied_after_move(const WeightedState& state, UserId u,
@@ -134,11 +102,6 @@ bool weighted_deviation_free(const WeightedState& state, UserId u) {
 }  // namespace
 
 bool is_weighted_satisfaction_equilibrium(const WeightedState& state) {
-  if (state.satisfaction_tracking()) {
-    for (const UserId u : state.unsatisfied_view())
-      if (!weighted_deviation_free(state, u)) return false;
-    return true;
-  }
   for (UserId u = 0; u < state.num_users(); ++u) {
     if (state.satisfied(u)) continue;
     if (!weighted_deviation_free(state, u)) return false;

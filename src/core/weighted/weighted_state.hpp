@@ -1,17 +1,17 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
-#include "core/satisfaction_index.hpp"
 #include "core/weighted/weighted_instance.hpp"
 #include "rng/xoshiro256.hpp"
 
 namespace qoslb {
 
 /// Assignment of weighted users to resources with exact integer weight-loads
-/// maintained incrementally. Mirrors core/state.hpp for the weighted model.
+/// maintained incrementally. Mirrors core/state.hpp for the weighted model,
+/// minus the satisfaction index: weighted runs are small and sequential, so
+/// satisfaction is always read by a direct scan.
 class WeightedState {
  public:
   WeightedState(const WeightedInstance& instance,
@@ -32,15 +32,6 @@ class WeightedState {
 
   bool satisfied(UserId u) const;
 
-  /// Turns on the incremental satisfaction index (mirrors
-  /// State::enable_satisfaction_tracking; here a move sweeps a window of the
-  /// mover's weight, so a single move can flip many users).
-  void enable_satisfaction_tracking();
-  bool satisfaction_tracking() const { return index_.has_value(); }
-
-  /// Unsatisfied users in unspecified order; requires tracking.
-  const std::vector<UserId>& unsatisfied_view() const;
-
   std::size_t count_satisfied() const;
   std::size_t count_unsatisfied() const { return num_users() - count_satisfied(); }
 
@@ -53,7 +44,6 @@ class WeightedState {
   const WeightedInstance* instance_;
   std::vector<ResourceId> assignment_;
   std::vector<std::int64_t> loads_;
-  std::optional<SatisfactionIndex<std::int64_t>> index_;
 };
 
 /// Would user u be satisfied on r after moving there (its weight counted)?

@@ -58,9 +58,18 @@ class ParallelRoundEngine {
   template <typename Body>
   void for_each_shard(std::size_t num_items, const Body& body) {
     const std::size_t shards = num_shards(num_items);
-    const auto run_shard = [&](std::size_t s) {
-      const std::size_t begin = s * options_.shard_size;
-      body(s, begin, std::min(num_items, begin + options_.shard_size));
+    struct Batch {
+      const Body* body;
+      std::size_t shard_size;
+      std::size_t num_items;
+    };
+    const Batch batch{&body, options_.shard_size, num_items};
+    // One captured pointer keeps the closure inside std::function's
+    // small-object buffer, so a pooled round allocates nothing.
+    const auto run_shard = [&batch](std::size_t s) {
+      const std::size_t begin = s * batch.shard_size;
+      (*batch.body)(s, begin,
+                    std::min(batch.num_items, begin + batch.shard_size));
     };
     if (pool_) {
       pool_->run(shards, run_shard);

@@ -69,7 +69,8 @@ const std::vector<RuleInfo>& rules() {
       {"QL015",
        "hot-path hygiene: no locks, heap allocation, or throw reachable from "
        "step_users/step_range/commit_round (suppress per call site with "
-       "allow(QL015))"},
+       "allow(QL015)); container growth is checked at runtime by "
+       "tests/core_alloc_test.cpp"},
       {"QL016",
        "telemetry schema catalog: every metric/gauge/histogram name "
        "registered in src/** and every JSONL key emitted by src/obs/** must "

@@ -321,7 +321,9 @@ void rule_ql015(const Context& ctx, std::vector<Finding>& out) {
                             "(step_users/commit_round) — locks serialize the "
                             "shards, allocation and exceptions stall the "
                             "round loop; hoist it to setup or annotate the "
-                            "call site with allow(QL015)"};
+                            "call site with allow(QL015) (container growth, "
+                            "which this rule cannot see, is caught at "
+                            "runtime by tests/core_alloc_test.cpp)"};
         finding.why = render_path(ctx, parents, i);
         out.push_back(std::move(finding));
       }

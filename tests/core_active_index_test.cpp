@@ -1,18 +1,21 @@
-// Property tests for the incremental satisfaction index (PR 3 tentpole):
-// after long random move sequences the incrementally maintained unsatisfied
-// set and satisfied counter must equal a from-scratch recompute — on the
-// unit model (core/state) and the weighted model (core/weighted), where one
-// move can flip a whole window of users on both endpoint resources.
+// Property tests for the incremental satisfaction index: after long random
+// move sequences the incrementally maintained unsatisfied bitmap must
+// enumerate exactly the from-scratch unsatisfied set, in ascending id order,
+// and the satisfied counter must equal a recount. Plus the index's scope:
+// only active-mode engine runs build it.
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
+#include "core/engine.hpp"
 #include "core/generators.hpp"
+#include "core/protocols/registry.hpp"
 #include "core/state.hpp"
 #include "core/weighted/weighted_generators.hpp"
+#include "core/weighted/weighted_protocols.hpp"
 #include "core/weighted/weighted_state.hpp"
 #include "rng/distributions.hpp"
 #include "rng/xoshiro256.hpp"
@@ -21,41 +24,46 @@ namespace qoslb {
 namespace {
 
 constexpr std::size_t kMoves = 10000;
-// A full unsatisfied-set comparison is O(n log n); doing it on a stride (plus
-// once at the end) keeps the test fast while the O(1) counter is checked
-// after every single move.
+// A full unsatisfied-set comparison is O(n); doing it on a stride (plus once
+// at the end) keeps the test fast while the O(1) counter is checked after
+// every single move.
 constexpr std::size_t kSetCheckStride = 250;
 
-template <typename StateT>
-std::vector<UserId> brute_force_unsatisfied(const StateT& state) {
+std::vector<UserId> brute_force_unsatisfied(const State& state) {
   std::vector<UserId> unsat;
   for (UserId u = 0; u < state.num_users(); ++u)
     if (!state.satisfied(u)) unsat.push_back(u);
   return unsat;
 }
 
-template <typename StateT>
-std::size_t brute_force_satisfied(const StateT& state) {
+std::size_t brute_force_satisfied(const State& state) {
   std::size_t count = 0;
   for (UserId u = 0; u < state.num_users(); ++u)
     if (state.satisfied(u)) ++count;
   return count;
 }
 
-template <typename StateT>
-void expect_index_matches_recompute(const StateT& state) {
-  std::vector<UserId> tracked(state.unsatisfied_view().begin(),
-                              state.unsatisfied_view().end());
-  std::sort(tracked.begin(), tracked.end());
-  EXPECT_EQ(tracked, brute_force_unsatisfied(state));
+/// The enumeration order as produced — deliberately not sorted here, so the
+/// comparison against the ascending brute force also checks the order.
+std::vector<UserId> enumerated(const State& state) {
+  std::vector<UserId> out;
+  state.for_each_unsatisfied([&](UserId u) {
+    out.push_back(u);
+    return true;
+  });
+  return out;
+}
+
+void expect_index_matches_recompute(const State& state) {
+  EXPECT_EQ(enumerated(state), brute_force_unsatisfied(state));
   state.check_invariants();
 }
 
-template <typename StateT>
-void random_walk(StateT& state, Xoshiro256& rng) {
+void random_walk(State& state, Xoshiro256& rng) {
   const std::size_t n = state.num_users();
   const std::size_t m = state.num_resources();
   state.enable_satisfaction_tracking();
+  ASSERT_TRUE(state.satisfaction_tracking());
   expect_index_matches_recompute(state);
   for (std::size_t i = 0; i < kMoves; ++i) {
     const auto u = static_cast<UserId>(uniform_u64_below(rng, n));
@@ -70,47 +78,47 @@ void random_walk(StateT& state, Xoshiro256& rng) {
 }
 
 TEST(SatisfactionIndexProperty, UnitModelMatchesRecomputeOverRandomMoves) {
-  for (const std::uint64_t seed : {1u, 7u, 99u}) {
-    Xoshiro256 rng(seed);
-    const Instance instance = make_uniform_feasible(512, 32, 0.3, 1.5, rng);
-    State state = State::random(instance, rng);
-    random_walk(state, rng);
+  // n = 512 is a whole number of bitmap words; 509 leaves a partial word.
+  for (const std::size_t n : {512u, 509u}) {
+    for (const std::uint64_t seed : {1u, 7u, 99u}) {
+      Xoshiro256 rng(seed);
+      const Instance instance = make_uniform_feasible(n, 32, 0.3, 1.5, rng);
+      State state = State::random(instance, rng);
+      random_walk(state, rng);
+    }
   }
 }
 
 TEST(SatisfactionIndexProperty, UnitModelFromCongestedStart) {
   // all_on(0) makes resource 0 massively over threshold: the first moves
-  // flip long runs of users at once, stressing the bucket-range updates.
+  // flip long runs of users at once, stressing the bucket updates.
   Xoshiro256 rng(5);
   const Instance instance = make_uniform_feasible(512, 16, 0.2, 1.5, rng);
   State state = State::all_on(instance, 0);
   random_walk(state, rng);
 }
 
-TEST(SatisfactionIndexProperty, WeightedModelMatchesRecomputeOverRandomMoves) {
-  for (const std::uint64_t seed : {2u, 13u}) {
-    Xoshiro256 rng(seed);
-    const WeightedInstance instance =
-        make_weighted_feasible(384, 16, 0.3, /*weight_classes=*/4,
-                               /*skew=*/0.8, rng);
-    WeightedState state = WeightedState::random(instance, rng);
-    random_walk(state, rng);
+TEST(SatisfactionIndexProperty, EnumerationStopsWhenTheVisitorDeclines) {
+  Xoshiro256 rng(3);
+  const Instance instance = make_uniform_feasible(300, 8, 0.2, 1.5, rng);
+  for (const bool tracked : {false, true}) {
+    State state = State::all_on(instance, 0);
+    if (tracked) state.enable_satisfaction_tracking();
+    const std::vector<UserId> all = brute_force_unsatisfied(state);
+    ASSERT_GT(all.size(), 3u);
+    std::vector<UserId> seen;
+    EXPECT_FALSE(state.for_each_unsatisfied([&](UserId u) {
+      seen.push_back(u);
+      return seen.size() < 3;
+    }));
+    EXPECT_EQ(seen, std::vector<UserId>(all.begin(), all.begin() + 3));
   }
-}
-
-TEST(SatisfactionIndexProperty, WeightedModelFromCongestedStart) {
-  Xoshiro256 rng(11);
-  const WeightedInstance instance =
-      make_weighted_feasible(384, 12, 0.25, /*weight_classes=*/5,
-                             /*skew=*/0.5, rng);
-  WeightedState state = WeightedState::all_on(instance, 0);
-  random_walk(state, rng);
 }
 
 TEST(SatisfactionIndexProperty, TrackingEnabledMidSequenceAgrees) {
   // Enabling the index after untracked moves must rebuild to the same set a
-  // tracked-from-the-start walk reaches: the index is a pure function of the
-  // current assignment.
+  // tracked-from-the-start walk reaches (the index is a pure function of the
+  // current assignment), and the untracked scan enumerates the same users.
   Xoshiro256 rng(21);
   const Instance instance = make_uniform_feasible(256, 16, 0.3, 1.5, rng);
   State tracked = State::round_robin(instance);
@@ -122,15 +130,70 @@ TEST(SatisfactionIndexProperty, TrackingEnabledMidSequenceAgrees) {
     tracked.move(u, r);
     late.move(u, r);
   }
+  const std::vector<UserId> untracked = enumerated(late);
   late.enable_satisfaction_tracking();
-  std::vector<UserId> a(tracked.unsatisfied_view().begin(),
-                        tracked.unsatisfied_view().end());
-  std::vector<UserId> b(late.unsatisfied_view().begin(),
-                        late.unsatisfied_view().end());
-  std::sort(a.begin(), a.end());
-  std::sort(b.begin(), b.end());
-  EXPECT_EQ(a, b);
+  EXPECT_EQ(enumerated(tracked), enumerated(late));
+  EXPECT_EQ(enumerated(late), untracked);
   EXPECT_EQ(tracked.count_satisfied(), late.count_satisfied());
+}
+
+// ---- scope: one satisfaction mechanism per engine mode ----
+
+/// Runs `kind` on a fresh all-on-one state and reports whether the engine
+/// left the state tracked.
+bool tracked_after_run(const std::string& kind, EngineMode mode) {
+  Xoshiro256 rng(17);
+  const Instance instance = make_uniform_feasible(400, 10, 0.3, 1.5, rng);
+  State state = State::all_on(instance, 0);
+  ProtocolSpec spec;
+  spec.kind = kind;
+  spec.lambda = 0.5;
+  spec.ttl = 2;
+  const auto protocol = make_protocol(spec);
+  EngineConfig config;
+  config.mode = mode;
+  config.max_rounds = 20000;
+  const EngineResult result = Engine(config).run(*protocol, state, rng);
+  EXPECT_TRUE(result.converged) << kind;
+  return state.satisfaction_tracking();
+}
+
+TEST(SatisfactionIndexScope, OnlyActiveRunsBuildTheIndex) {
+  // Dense runs read satisfaction through the SoA scans.
+  EXPECT_FALSE(tracked_after_run("uniform", EngineMode::kDense));
+  EXPECT_FALSE(tracked_after_run("admission", EngineMode::kDense));
+  // Step()-only protocols never iterate an active set, whatever the mode.
+  EXPECT_FALSE(tracked_after_run("seq-br", EngineMode::kActive));
+  EXPECT_FALSE(tracked_after_run("seq-br-rr", EngineMode::kActive));
+  EXPECT_FALSE(tracked_after_run("cached", EngineMode::kActive));
+  // berenbrink's satisfied users act, so its active-mode run is dense.
+  EXPECT_FALSE(tracked_after_run("berenbrink", EngineMode::kActive));
+  // An active run of an active-set-compatible protocol builds it.
+  EXPECT_TRUE(tracked_after_run("uniform", EngineMode::kActive));
+  EXPECT_TRUE(tracked_after_run("admission", EngineMode::kActive));
+}
+
+template <typename T>
+concept HasSatisfactionIndex = requires(T& t) {
+  t.enable_satisfaction_tracking();
+  t.satisfaction_tracking();
+};
+
+TEST(SatisfactionIndexScope, WeightedRunsHaveNoIndex) {
+  // The weighted model reads satisfaction by direct scans only: the index
+  // API does not exist on WeightedState, and weighted runs still converge.
+  static_assert(!HasSatisfactionIndex<WeightedState>);
+  static_assert(HasSatisfactionIndex<State>);
+  Xoshiro256 rng(9);
+  const WeightedInstance instance =
+      make_weighted_feasible(256, 8, 0.3, /*weight_classes=*/3,
+                             /*skew=*/0.5, rng);
+  WeightedState state = WeightedState::all_on(instance, 0);
+  WeightedAdmissionControl protocol;
+  const EngineResult result = Engine().run(protocol, state, rng);
+  EXPECT_TRUE(result.converged);
+  EXPECT_EQ(result.final_satisfied, state.count_satisfied());
+  state.check_invariants();
 }
 
 }  // namespace

@@ -21,6 +21,7 @@
 #include "net/generators.hpp"
 #include "obs/decision_sink.hpp"
 #include "qoslb.hpp"
+#include "sharded_cases.hpp"
 
 namespace qoslb {
 namespace {
@@ -171,25 +172,6 @@ TEST(DecisionTraceInvariance, MatrixAcrossThreadsModesAndRateModels) {
       }
     }
   }
-}
-
-struct ShardedCase {
-  std::string kind;
-  double lambda;
-};
-
-const std::vector<ShardedCase>& sharded_cases() {
-  static const std::vector<ShardedCase> kCases = {
-      {"uniform", 0.5},      {"adaptive", 1.0},      {"admission", 1.0},
-      {"nbr-uniform", 0.5},  {"nbr-admission", 1.0}, {"berenbrink", 1.0}};
-  return kCases;
-}
-
-std::string case_name(const ::testing::TestParamInfo<ShardedCase>& info) {
-  std::string name = info.param.kind;
-  for (char& c : name)
-    if (c == '-') c = '_';
-  return name;
 }
 
 class DecisionTracePerProtocol : public ::testing::TestWithParam<ShardedCase> {

@@ -24,6 +24,7 @@
 #include "net/generators.hpp"
 #include "qoslb.hpp"
 #include "sim/parallel_round_engine.hpp"
+#include "sharded_cases.hpp"
 
 namespace qoslb {
 namespace {
@@ -50,25 +51,6 @@ void expect_counters_eq(const Counters& a, const Counters& b) {
 }
 
 // ---- 1. mode and thread-count invariance ----
-
-struct ShardedCase {
-  std::string kind;
-  double lambda;
-};
-
-const std::vector<ShardedCase>& sharded_cases() {
-  static const std::vector<ShardedCase> kCases = {
-      {"uniform", 0.5},      {"adaptive", 1.0},      {"admission", 1.0},
-      {"nbr-uniform", 0.5},  {"nbr-admission", 1.0}, {"berenbrink", 1.0}};
-  return kCases;
-}
-
-std::string case_name(const ::testing::TestParamInfo<ShardedCase>& info) {
-  std::string name = info.param.kind;
-  for (char& c : name)
-    if (c == '-') c = '_';
-  return name;
-}
 
 class ModeThreadInvariance : public ::testing::TestWithParam<ShardedCase> {};
 

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <tuple>
 
 #include "core/generators.hpp"
 #include "core/protocols/adaptive_sampling.hpp"
@@ -50,8 +52,10 @@ INSTANTIATE_TEST_SUITE_P(Kinds, SatisfactionProtocol,
                          ::testing::Values("seq-br", "seq-br-rr", "uniform",
                                            "adaptive", "admission"));
 
+// std::string, not const char*: gtest prints the parameter (a const char*
+// prints as its address) and CMake copies the printout into the ctest name.
 class SeededConvergence
-    : public ::testing::TestWithParam<std::tuple<const char*, std::uint64_t>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, std::uint64_t>> {};
 
 TEST_P(SeededConvergence, DeterministicGivenSeed) {
   const auto [kind, seed] = GetParam();
@@ -71,8 +75,15 @@ TEST_P(SeededConvergence, DeterministicGivenSeed) {
 
 INSTANTIATE_TEST_SUITE_P(
     KindsAndSeeds, SeededConvergence,
-    ::testing::Combine(::testing::Values("uniform", "adaptive", "admission"),
-                       ::testing::Values(1ull, 2ull, 3ull)));
+    ::testing::Combine(::testing::Values(std::string("uniform"),
+                                         std::string("adaptive"),
+                                         std::string("admission")),
+                       ::testing::Values(std::uint64_t{1}, std::uint64_t{2},
+                                         std::uint64_t{3})),
+    [](const ::testing::TestParamInfo<SeededConvergence::ParamType>& p) {
+      return std::get<0>(p.param) + "_seed" +
+             std::to_string(std::get<1>(p.param));
+    });
 
 // ---- sequential best response ----
 
@@ -244,8 +255,9 @@ TEST(ApplyWithAdmission, AdmitsThresholdDescendingPrefix) {
   const Instance inst = Instance::identical(2, 1.0, {1.0 / 3, 0.5, 1.0});
   State state(inst, {0, 0, 0});
   Counters counters;
+  AdmissionScratch scratch;
   std::vector<MigrationRequest> requests = {{0, 1}, {1, 1}, {2, 1}};
-  apply_with_admission(state, requests, counters);
+  apply_with_admission(state, requests, counters, scratch);
   EXPECT_EQ(counters.grants, 2u);
   EXPECT_EQ(counters.rejects, 1u);
   EXPECT_EQ(state.load(1), 2);
@@ -259,8 +271,9 @@ TEST(ApplyWithAdmission, SatisfiedResidentGatesAdmission) {
   const Instance inst = Instance::identical(2, 1.0, {0.5, 1.0});
   State state(inst, {0, 1});
   Counters counters;
+  AdmissionScratch scratch;
   std::vector<MigrationRequest> requests = {{0, 1}};
-  apply_with_admission(state, requests, counters);
+  apply_with_admission(state, requests, counters, scratch);
   EXPECT_EQ(counters.grants, 0u);
   EXPECT_EQ(counters.rejects, 1u);
   EXPECT_EQ(state.load(1), 1);
@@ -272,8 +285,9 @@ TEST(ApplyWithAdmission, UnsatisfiedResidentDoesNotGate) {
   const Instance inst = Instance::identical(2, 1.0, {1.0, 1.0, 0.2});
   State state(inst, {1, 1, 0});
   Counters counters;
+  AdmissionScratch scratch;
   std::vector<MigrationRequest> requests = {{2, 1}};
-  apply_with_admission(state, requests, counters);
+  apply_with_admission(state, requests, counters, scratch);
   EXPECT_EQ(counters.grants, 1u);
   EXPECT_EQ(state.load(1), 3);
 }

@@ -21,6 +21,7 @@
 #include "core/snapshot.hpp"
 #include "net/generators.hpp"
 #include "qoslb.hpp"
+#include "sharded_cases.hpp"
 
 namespace qoslb {
 namespace {
@@ -45,25 +46,6 @@ void expect_counters_eq(const Counters& a, const Counters& b,
   EXPECT_EQ(a.rejects, b.rejects) << label;
   EXPECT_EQ(a.migrations, b.migrations) << label;
   EXPECT_EQ(a.rounds, b.rounds) << label;
-}
-
-struct ShardedCase {
-  std::string kind;
-  double lambda;
-};
-
-const std::vector<ShardedCase>& sharded_cases() {
-  static const std::vector<ShardedCase> kCases = {
-      {"uniform", 0.5},      {"adaptive", 1.0},      {"admission", 1.0},
-      {"nbr-uniform", 0.5},  {"nbr-admission", 1.0}, {"berenbrink", 1.0}};
-  return kCases;
-}
-
-std::string case_name(const ::testing::TestParamInfo<ShardedCase>& info) {
-  std::string name = info.param.kind;
-  for (char& c : name)
-    if (c == '-') c = '_';
-  return name;
 }
 
 /// The churn plan used by the kill/restore matrix: two failures, two

@@ -104,8 +104,11 @@ TEST_P(SoaLayoutTest, RandomMovesKeepEveryCacheEqualToScalarRecompute) {
     EXPECT_EQ(state.count_satisfied(), scalar_count_satisfied(state));
     if (k % 500 != 0) return;
     state.check_invariants();  // audits the threshold cache and the index
-    std::vector<UserId> tracked = state.unsatisfied_view();
-    std::sort(tracked.begin(), tracked.end());
+    std::vector<UserId> tracked;
+    state.for_each_unsatisfied([&](UserId u) {
+      tracked.push_back(u);
+      return true;
+    });
     EXPECT_EQ(tracked, scalar_unsatisfied(state));
   });
 }

@@ -14,6 +14,7 @@
 #include "core/potential.hpp"
 #include "net/generators.hpp"
 #include "qoslb.hpp"
+#include "sharded_cases.hpp"
 
 namespace qoslb {
 namespace {
@@ -28,25 +29,6 @@ std::vector<ResourceId> assignment_of(const State& state) {
   for (UserId u = 0; u < state.num_users(); ++u)
     assignment[u] = state.resource_of(u);
   return assignment;
-}
-
-struct ShardedCase {
-  std::string kind;
-  double lambda;
-};
-
-const std::vector<ShardedCase>& sharded_cases() {
-  static const std::vector<ShardedCase> kCases = {
-      {"uniform", 0.5},      {"adaptive", 1.0},      {"admission", 1.0},
-      {"nbr-uniform", 0.5},  {"nbr-admission", 1.0}, {"berenbrink", 1.0}};
-  return kCases;
-}
-
-std::string case_name(const ::testing::TestParamInfo<ShardedCase>& info) {
-  std::string name = info.param.kind;
-  for (char& c : name)
-    if (c == '-') c = '_';
-  return name;
 }
 
 EngineConfig base_config(const obs::Telemetry& telemetry) {

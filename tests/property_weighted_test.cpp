@@ -7,6 +7,8 @@
 
 #include <memory>
 #include <numeric>
+#include <ostream>
+#include <string>
 #include <tuple>
 
 #include "core/weighted/weighted_generators.hpp"
@@ -22,6 +24,14 @@ struct WeightedCase {
   double slack;
   bool concentrated;
 };
+
+// Printed by field (the default dumps the raw bytes, padding included), so
+// the ctest names CMake derives from the printout are identical across
+// builds.
+void PrintTo(const WeightedCase& c, std::ostream* os) {
+  *os << "protocol=" << c.protocol << " classes=" << c.classes
+      << " slack=" << c.slack << " concentrated=" << c.concentrated;
+}
 
 std::unique_ptr<WeightedProtocol> build(int kind) {
   switch (kind) {
@@ -89,7 +99,19 @@ std::vector<WeightedCase> make_grid() {
   return grid;
 }
 
-INSTANTIATE_TEST_SUITE_P(Grid, WeightedGrid, ::testing::ValuesIn(make_grid()));
+// Named from the fields, not gtest's default (which dumps the struct's raw
+// bytes, padding included), so test names are identical across builds.
+std::string grid_name(const ::testing::TestParamInfo<WeightedCase>& info) {
+  static const char* const kProtocols[] = {"uniform", "admission", "seqbr"};
+  const WeightedCase& c = info.param;
+  return std::string(kProtocols[c.protocol]) + "_classes" +
+         std::to_string(c.classes) + "_slack" +
+         std::to_string(static_cast<int>(c.slack * 100 + 0.5)) +
+         (c.concentrated ? "_concentrated" : "_random");
+}
+
+INSTANTIATE_TEST_SUITE_P(Grid, WeightedGrid, ::testing::ValuesIn(make_grid()),
+                         grid_name);
 
 }  // namespace
 }  // namespace qoslb
