@@ -300,5 +300,68 @@ TEST(AsyncFaults, FaultFreeRunMatchesLegacyGolden) {
   }
 }
 
+/// Golden values of the loss-tolerant realization, recorded before the
+/// resource agents' containers were flattened. All 2000 users start on
+/// resource 0, so one resource holds every resident, sequence guard and
+/// threshold bucket, while drops, duplicates, heavy-tail delays and a crash
+/// window exercise the stale-suppression, re-grant, re-ack and retry paths.
+/// A resource notifies its residents in ascending id within a threshold
+/// bucket; every notify draws latency jitter, so any change to that order
+/// (or to which residents are notified) moves these numbers.
+EngineConfig lossy_golden_config() {
+  EngineConfig config;
+  config.seed = 3;
+  config.random_start = false;
+  config.latency_jitter = 0.5;
+  config.faults.drop_all(0.05)
+      .dup_all(0.02)
+      .heavy_tail(0.05)
+      .crash(/*agent=*/1, /*t_crash=*/5.0, /*t_recover=*/40.0);
+  return config;
+}
+
+TEST(AsyncFaults, LossTolerantRunMatchesGolden) {
+  Xoshiro256 rng(5);
+  const Instance inst = make_uniform_feasible(2000, 20, 0.25, 1.5, rng);
+  {
+    const AsyncRunResult r = run_async_admission(inst, lossy_golden_config());
+    EXPECT_EQ(r.events, 27439u);
+    EXPECT_DOUBLE_EQ(r.virtual_time, 216.12387153095594);
+    EXPECT_EQ(r.counters.probes, 4742u);
+    EXPECT_EQ(r.counters.migrate_requests, 2464u);
+    EXPECT_EQ(r.counters.grants, 1958u);
+    EXPECT_EQ(r.counters.rejects, 0u);
+    EXPECT_EQ(r.counters.migrations, 1958u);
+    EXPECT_EQ(r.counters.retries, 1583u);
+    EXPECT_EQ(r.counters.timeouts, 1583u);
+    EXPECT_EQ(r.counters.stale_drops, 1261u);
+    EXPECT_EQ(r.faults.dropped, 931u);
+    EXPECT_EQ(r.faults.duplicated, 375u);
+    EXPECT_EQ(r.faults.delayed, 855u);
+    EXPECT_EQ(r.faults.crash_dropped, 256u);
+    EXPECT_EQ(r.satisfied, 2000u);
+  }
+  {
+    // Ungated joins walk the displaced bucket instead of the satisfied one.
+    const AsyncRunResult r =
+        run_async_optimistic(inst, 0.5, lossy_golden_config());
+    EXPECT_EQ(r.events, 40029u);
+    EXPECT_DOUBLE_EQ(r.virtual_time, 268.79422663471507);
+    EXPECT_EQ(r.counters.probes, 9371u);
+    EXPECT_EQ(r.counters.migrate_requests, 2283u);
+    EXPECT_EQ(r.counters.grants, 1902u);
+    EXPECT_EQ(r.counters.rejects, 0u);
+    EXPECT_EQ(r.counters.migrations, 1902u);
+    EXPECT_EQ(r.counters.retries, 2288u);
+    EXPECT_EQ(r.counters.timeouts, 2288u);
+    EXPECT_EQ(r.counters.stale_drops, 1583u);
+    EXPECT_EQ(r.faults.dropped, 1335u);
+    EXPECT_EQ(r.faults.duplicated, 532u);
+    EXPECT_EQ(r.faults.delayed, 1267u);
+    EXPECT_EQ(r.faults.crash_dropped, 364u);
+    EXPECT_EQ(r.satisfied, 2000u);
+  }
+}
+
 }  // namespace
 }  // namespace qoslb
