@@ -9,11 +9,11 @@ using AgentId = std::uint32_t;
 inline constexpr AgentId kNoAgent = ~AgentId{0};
 
 /// Message kinds of the QoS load-balancing protocols in the asynchronous
-/// (message-passing) realization. The payload fields are protocol-defined;
-/// the engine never interprets them (MPI-style opaque payloads).
+/// (message-passing) realization. The payload field `a` is protocol-defined;
+/// the engine never interprets it (MPI-style opaque payload).
 enum class MsgType : std::uint8_t {
   kProbe,          // user -> resource: what is your load?
-  kLoadReply,      // resource -> user: payload a = load, b = last-round contention
+  kLoadReply,      // resource -> user: payload a = load
   kMigrateRequest, // user -> resource: may I join? payload a = user's threshold
   kGrant,          // resource -> user: admission granted
   kReject,         // resource -> user: admission denied
@@ -35,8 +35,6 @@ struct Message {
   /// Replies echo the request's seq.
   std::uint32_t seq = 0;
   std::int64_t a = 0;
-  std::int64_t b = 0;
-  std::int64_t c = 0;
 };
 
 }  // namespace qoslb
