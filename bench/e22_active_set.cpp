@@ -32,6 +32,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <thread>
 
 #include "bench_common.hpp"
 #include "bench_json.hpp"
@@ -177,8 +178,11 @@ int main(int argc, char** argv) {
     }
   }
 
+  const unsigned hardware_threads =
+      std::max(1u, std::thread::hardware_concurrency());
   std::cout << "E22: active-set convergence tail (n=" << n << ", m=" << m
             << ", protocol=" << kind << ", threads=" << threads
+            << ", hardware threads=" << hardware_threads
             << ", reps=" << common.reps << ")\n"
             << "probe: converged in " << probe_rounds << " rounds, tail (<= "
             << tail_frac * 100 << "% unsatisfied) starts after round "
@@ -258,6 +262,7 @@ int main(int argc, char** argv) {
         .field("m", static_cast<unsigned long long>(m))
         .field("protocol", kind)
         .field("threads", static_cast<long long>(threads))
+        .field("hardware_threads", static_cast<long long>(hardware_threads))
         .field("rounds", static_cast<unsigned long long>(r.total_rounds))
         .field("tail_start", static_cast<unsigned long long>(tail_start))
         .field("tail_rounds", static_cast<unsigned long long>(r.tail_rounds));

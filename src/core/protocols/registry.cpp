@@ -68,11 +68,13 @@ const std::vector<Entry>& entries() {
        }},
       {{"nbr-uniform",
         "neighborhood-restricted optimistic sampling on a resource graph (P5)",
-        /*active_set=*/true, /*restricted=*/true},
+        /*active_set=*/true, /*restricted=*/true,
+        /*needs_graph=*/true},
        make_neighborhood},
       {{"nbr-admission",
         "neighborhood-restricted sampling with admission commit (P5)",
-        /*active_set=*/true, /*restricted=*/true},
+        /*active_set=*/true, /*restricted=*/true,
+        /*needs_graph=*/true},
        make_neighborhood},
       // Deliberately dense-only (qoslb-lint QL004 checks the pairing):
       // every user — satisfied or not — probes and may move each round, so

@@ -34,6 +34,10 @@ struct ProtocolInfo {
   /// (Instance::restricted()). Kept consistent with the protocol classes by
   /// a registry test and lint rule QL009.
   bool restricted = false;
+  /// True when building the protocol reads ProtocolSpec::graph (the nbr-*
+  /// kinds); every other kind ignores it, so callers build a graph only for
+  /// these. Kept consistent with make_protocol() by a registry test.
+  bool needs_graph = false;
 };
 
 /// Every registered kind, in presentation order. This is the single source

@@ -88,12 +88,13 @@ class State {
   /// True iff user u's requirement is met in the current state.
   bool satisfied(UserId u) const;
 
-  /// Turns on the incremental satisfaction index (idempotent; O(n log n)
-  /// build). Afterwards count_satisfied() is O(1), for_each_unsatisfied()
-  /// costs O(n / 64 + |unsatisfied|), and every move() additionally
-  /// maintains the index in O(log + #satisfaction flips). The engine enables
-  /// it for active-mode runs only; every other path reads satisfaction
-  /// through the SoA scans (core/satisfaction_scan.hpp).
+  /// Turns on the incremental satisfaction index (idempotent; O(n) build,
+  /// the only allocation it makes). Afterwards count_satisfied() is O(1),
+  /// for_each_unsatisfied() costs O(n / 64 + |unsatisfied|), and every
+  /// move() additionally maintains the index in O(1) + #satisfaction flips
+  /// without allocating. The engine enables it for active-mode runs only;
+  /// every other path reads satisfaction through the SoA scans
+  /// (core/satisfaction_scan.hpp).
   void enable_satisfaction_tracking();
   bool satisfaction_tracking() const { return index_.has_value(); }
 

@@ -327,7 +327,15 @@ int mode_run(ArgParser& args) {
     throw std::invalid_argument("unknown --engine-mode '" + engine_mode +
                                 "' (dense|active)");
 
-  const Graph graph = make_complete(static_cast<Vertex>(m));
+  // Only the nbr-* kinds read a resource graph; the complete graph has
+  // m(m-1)/2 edges, so every other kind runs without one.
+  const auto& registry = protocol_registry();
+  const bool needs_graph =
+      std::any_of(registry.begin(), registry.end(), [&](const ProtocolInfo& p) {
+        return p.name == kind && p.needs_graph;
+      });
+  const Graph graph =
+      needs_graph ? make_complete(static_cast<Vertex>(m)) : Graph();
   ChurnStats churn_total;  // aggregated over the replications
   const AggregatedRuns agg =
       aggregate_runs(seed, reps, [&](std::uint64_t rep_seed) {

@@ -1,13 +1,17 @@
 // Property tests for the incremental satisfaction index: after long random
-// move sequences the incrementally maintained unsatisfied bitmap must
-// enumerate exactly the from-scratch unsatisfied set, in ascending id order,
-// and the satisfied counter must equal a recount. Plus the index's scope:
-// only active-mode engine runs build it.
+// move sequences — under the unit model, related capacities, a per-pair rate
+// matrix, a restricted access graph, and a crowded small bucket table — the
+// incrementally maintained unsatisfied bitmap must enumerate exactly the
+// from-scratch unsatisfied set, in ascending id order, and the satisfied
+// counter must equal a recount. Plus the index's scope: only active-mode
+// engine runs build it.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <span>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "core/engine.hpp"
@@ -59,22 +63,44 @@ void expect_index_matches_recompute(const State& state) {
   state.check_invariants();
 }
 
-void random_walk(State& state, Xoshiro256& rng) {
+/// Moves a uniformly drawn user to a resource it can use — any resource,
+/// or a reachable one on a restricted instance — for `moves` steps, checking
+/// the counter after every move and the whole set every `set_check_stride`.
+void random_walk(State& state, Xoshiro256& rng, std::size_t moves = kMoves,
+                 std::size_t set_check_stride = kSetCheckStride) {
+  const Instance& instance = state.instance();
   const std::size_t n = state.num_users();
   const std::size_t m = state.num_resources();
   state.enable_satisfaction_tracking();
   ASSERT_TRUE(state.satisfaction_tracking());
   expect_index_matches_recompute(state);
-  for (std::size_t i = 0; i < kMoves; ++i) {
+  for (std::size_t i = 0; i < moves; ++i) {
     const auto u = static_cast<UserId>(uniform_u64_below(rng, n));
     // Includes self-moves (r == current resource), which must be no-ops.
-    const auto r = static_cast<ResourceId>(uniform_u64_below(rng, m));
+    ResourceId r = 0;
+    if (instance.restricted()) {
+      const std::span<const ResourceId> reachable = instance.reachable(u);
+      r = reachable[uniform_u64_below(rng, reachable.size())];
+    } else {
+      r = static_cast<ResourceId>(uniform_u64_below(rng, m));
+    }
     state.move(u, r);
     ASSERT_EQ(state.count_satisfied(), brute_force_satisfied(state))
         << "after move " << i << " of user " << u << " to " << r;
-    if ((i + 1) % kSetCheckStride == 0) expect_index_matches_recompute(state);
+    if ((i + 1) % set_check_stride == 0) expect_index_matches_recompute(state);
   }
   expect_index_matches_recompute(state);
+}
+
+/// A start on a restricted instance: every user on a random reachable
+/// resource.
+State random_reachable(const Instance& instance, Xoshiro256& rng) {
+  std::vector<ResourceId> assignment(instance.num_users());
+  for (UserId u = 0; u < assignment.size(); ++u) {
+    const std::span<const ResourceId> reachable = instance.reachable(u);
+    assignment[u] = reachable[uniform_u64_below(rng, reachable.size())];
+  }
+  return State(instance, std::move(assignment));
 }
 
 TEST(SatisfactionIndexProperty, UnitModelMatchesRecomputeOverRandomMoves) {
@@ -96,6 +122,74 @@ TEST(SatisfactionIndexProperty, UnitModelFromCongestedStart) {
   const Instance instance = make_uniform_feasible(512, 16, 0.2, 1.5, rng);
   State state = State::all_on(instance, 0);
   random_walk(state, rng);
+}
+
+// Beyond flat thresholds the bucket key (r, t) varies in t across resources
+// too: related capacities scale t per resource, and a per-pair rate matrix
+// or a restricted access graph gives every (user, resource) pair its own t.
+
+TEST(SatisfactionIndexProperty, RelatedCapacitiesMatchRecompute) {
+  for (const std::uint64_t seed : {2u, 13u}) {
+    Xoshiro256 rng(seed);
+    const Instance instance =
+        make_related_capacities(509, 24, 0.2, /*speed_classes=*/4, rng);
+    ASSERT_FALSE(instance.flat_thresholds_available());
+    State state = State::random(instance, rng);
+    random_walk(state, rng);
+  }
+}
+
+TEST(SatisfactionIndexProperty, PerPairRateMatrixMatchesRecompute) {
+  for (const std::uint64_t seed : {4u, 31u}) {
+    Xoshiro256 rng(seed);
+    const Instance instance = make_zipf_rates(509, 24, 0.2, 1.1, rng);
+    ASSERT_EQ(instance.rate_model().kind(), RateModelKind::kMatrix);
+    ASSERT_FALSE(instance.restricted());
+    State state = State::all_on(instance, 0);
+    random_walk(state, rng);
+  }
+}
+
+TEST(SatisfactionIndexProperty, RestrictedInstanceMatchesRecompute) {
+  for (const std::uint64_t seed : {6u, 47u}) {
+    Xoshiro256 rng(seed);
+    const Instance instance = make_clustered_bipartite(
+        509, 24, /*clusters=*/4, /*extra=*/2, 0.2, rng);
+    ASSERT_TRUE(instance.restricted());
+    State state = random_reachable(instance, rng);
+    random_walk(state, rng);
+  }
+}
+
+TEST(SatisfactionIndexProperty, CrowdedSmallTableMatchesRecompute) {
+  // The bucket table holds at least 2n slots, at least 16, so n = 8 and
+  // n = 30 give 16- and 64-slot tables. Per-resource capacities times a few
+  // requirement classes make up to min(n, m * classes) distinct live keys —
+  // a table kept near its load limit, where probe runs often cross the
+  // table end, so erasing a bucket's last member backward-shifts across the
+  // wrap — while several users share each key, so erases hit the head, the
+  // middle and the tail of a bucket list. Every move is checked against the
+  // recompute.
+  struct Shape {
+    std::size_t n;
+    std::size_t m;
+    std::size_t classes;
+  };
+  for (const Shape shape : {Shape{8, 8, 4}, Shape{30, 6, 3}}) {
+    for (const std::uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
+      Xoshiro256 rng(seed);
+      std::vector<double> capacities(shape.m);
+      for (std::size_t r = 0; r < shape.m; ++r)
+        capacities[r] = static_cast<double>(2 + 3 * r);
+      std::vector<double> requirements(shape.n);
+      for (std::size_t u = 0; u < shape.n; ++u)
+        requirements[u] = 1.0 / static_cast<double>(
+                                    1 + uniform_u64_below(rng, shape.classes));
+      const Instance instance(std::move(capacities), std::move(requirements));
+      State state = State::random(instance, rng);
+      random_walk(state, rng, /*moves=*/4000, /*set_check_stride=*/1);
+    }
+  }
 }
 
 TEST(SatisfactionIndexProperty, EnumerationStopsWhenTheVisitorDeclines) {

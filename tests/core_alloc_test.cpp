@@ -1,15 +1,15 @@
-// Runtime check that dense rounds allocate nothing: this executable replaces
-// the global operator new with a counting one, and a trace sink reads the
-// counter at every round boundary. For every sharded protocol, dense mode,
-// and threads {1, 2}, the rounds after a short warm-up (which sizes every
+// Runtime check that engine rounds allocate nothing: this executable
+// replaces the global operator new with a counting one, and a trace sink
+// reads the counter at every round boundary. For every sharded protocol and
+// threads {1, 2}, the rounds after a short warm-up (which sizes every
 // reusable buffer) must perform zero heap allocations — decide fan-out,
-// commit, satisfied count, trace row and convergence check included.
-//
-// Active mode is deliberately not asserted: its satisfaction index keeps
-// per-resource threshold buckets in a std::map, which allocates on every
-// migration that opens a new bucket. The static rule QL015 (qoslb-lint)
-// catches `new`/`malloc`/locks on the hot path but cannot see container
-// growth (push_back/resize/assign); this test is what catches that.
+// commit, satisfied count, trace row and convergence check included. Dense
+// mode is checked for every sharded protocol; active mode for every one
+// that is active_set_compatible(), which adds the satisfaction index's
+// per-migration upkeep and the per-round enumeration of its unsatisfied
+// bitmap. The static rule QL015 (qoslb-lint) catches `new`/`malloc`/locks on
+// the hot path but cannot see container growth (push_back/resize/assign);
+// this test is what catches that.
 
 #include <gtest/gtest.h>
 
@@ -126,10 +126,9 @@ void PrintTo(const Case& c, std::ostream* os) {
   *os << c.kind << " threads=" << c.threads;
 }
 
-class DenseRoundAllocations : public ::testing::TestWithParam<Case> {};
-
-TEST_P(DenseRoundAllocations, SteadyStateRoundsAllocateNothing) {
-  const Case c = GetParam();
+/// Runs `c.kind` in `mode` from an all-on-one start and expects every round
+/// after the warm-up to allocate nothing.
+void expect_steady_rounds_allocation_free(const Case& c, EngineMode mode) {
   // One slot per user (n = m, threshold 1): the last users need many rounds
   // to find the last free resources, so every protocol is still busy after
   // the warm-up. Everyone starts on the hub of a star graph, from which the
@@ -151,7 +150,7 @@ TEST_P(DenseRoundAllocations, SteadyStateRoundsAllocateNothing) {
 
   AllocationProbe probe;
   EngineConfig config;
-  config.mode = EngineMode::kDense;
+  config.mode = mode;
   config.threads = c.threads;
   config.shard_size = 2048;
   config.max_rounds = kRounds;
@@ -160,22 +159,39 @@ TEST_P(DenseRoundAllocations, SteadyStateRoundsAllocateNothing) {
 
   ASSERT_GE(result.rounds, kWarmup + kMinChecked)
       << c.kind << " converged inside the warm-up; nothing was checked";
-  EXPECT_FALSE(state.satisfaction_tracking());
+  // Only active runs build (and so must maintain) the satisfaction index.
+  EXPECT_EQ(state.satisfaction_tracking(), mode == EngineMode::kActive);
   for (std::uint64_t r = kWarmup + 1; r <= result.rounds; ++r)
     EXPECT_EQ(probe.marks[r] - probe.marks[r - 1], 0u)
         << c.kind << " threads=" << c.threads << ": round " << r
         << " allocated";
 }
 
-/// Every registered protocol that runs sharded rounds, at 1 and 2 threads.
-std::vector<Case> cases() {
+class DenseRoundAllocations : public ::testing::TestWithParam<Case> {};
+
+TEST_P(DenseRoundAllocations, SteadyStateRoundsAllocateNothing) {
+  expect_steady_rounds_allocation_free(GetParam(), EngineMode::kDense);
+}
+
+class ActiveRoundAllocations : public ::testing::TestWithParam<Case> {};
+
+TEST_P(ActiveRoundAllocations, SteadyStateRoundsAllocateNothing) {
+  expect_steady_rounds_allocation_free(GetParam(), EngineMode::kActive);
+}
+
+/// Every registered protocol that runs sharded rounds, at 1 and 2 threads;
+/// with `active_only`, just those the active mode iterates sparsely
+/// (berenbrink's satisfied users act, so it runs densely under kActive).
+std::vector<Case> cases(bool active_only) {
   const Graph ring = make_ring(4);
   std::vector<Case> out;
   for (const ProtocolInfo& info : protocol_registry()) {
     ProtocolSpec spec;
     spec.kind = info.name;
     spec.graph = &ring;
-    if (!make_protocol(spec)->supports_step_users()) continue;
+    const auto protocol = make_protocol(spec);
+    if (!protocol->supports_step_users()) continue;
+    if (active_only && !protocol->active_set_compatible()) continue;
     for (const std::size_t threads : {1u, 2u}) out.push_back({info.name, threads});
   }
   return out;
@@ -189,7 +205,9 @@ std::string case_name(const ::testing::TestParamInfo<Case>& info) {
 }
 
 INSTANTIATE_TEST_SUITE_P(ShardedProtocols, DenseRoundAllocations,
-                         ::testing::ValuesIn(cases()), case_name);
+                         ::testing::ValuesIn(cases(false)), case_name);
+INSTANTIATE_TEST_SUITE_P(ShardedProtocols, ActiveRoundAllocations,
+                         ::testing::ValuesIn(cases(true)), case_name);
 
 }  // namespace
 }  // namespace qoslb

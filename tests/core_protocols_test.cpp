@@ -399,5 +399,18 @@ TEST(Registry, NeighborhoodKindsRequireGraph) {
   EXPECT_THROW(make_protocol(spec), std::invalid_argument);
 }
 
+TEST(Registry, NeedsGraphMatchesWhatTheBuildReads) {
+  // A kind flagged needs_graph must refuse to build without a graph; every
+  // other kind must build without one (callers skip the graph for them).
+  for (const ProtocolInfo& info : protocol_registry()) {
+    ProtocolSpec spec;
+    spec.kind = info.name;
+    if (info.needs_graph)
+      EXPECT_THROW(make_protocol(spec), std::invalid_argument) << info.name;
+    else
+      EXPECT_NE(make_protocol(spec), nullptr) << info.name;
+  }
+}
+
 }  // namespace
 }  // namespace qoslb
