@@ -6,13 +6,13 @@
 // capacity, so convergence slows and (at tight slack) a satisfied-weight gap
 // opens even when the unit-weight analogue would fully satisfy. The sweep
 // varies the number of power-of-two weight classes at fixed total load.
+// Weighted instances run on the one round loop (per-(seed, round, user)
+// Philox substreams), like every unit run.
 
 #include <iostream>
-#include <memory>
+#include <string>
 
 #include "bench_common.hpp"
-#include "core/weighted/weighted_generators.hpp"
-#include "core/weighted/weighted_protocols.hpp"
 #include "rng/splitmix64.hpp"
 
 using namespace qoslb;
@@ -33,21 +33,20 @@ int main(int argc, char** argv) {
             << ", slack=" << slack << ", all-on-one start, reps="
             << common.reps << ")\n";
 
-  for (const char* kind : {"w-uniform", "w-admission"}) {
+  for (const char* kind : {"uniform", "admission"}) {
     for (const std::size_t classes : {1u, 2u, 4u, 6u}) {
       RunningStat rounds, migrations, satisfied_frac, weight_frac;
       std::size_t converged = 0;
       for (std::size_t rep = 0; rep < common.reps; ++rep) {
         Xoshiro256 rng(derive_seed(common.seed + classes, rep));
-        const WeightedInstance instance = make_weighted_feasible(
+        const Instance instance = make_weighted_feasible(
             static_cast<std::size_t>(n), static_cast<std::size_t>(m), slack,
             classes, 1.0, rng);
-        WeightedState state = WeightedState::all_on(instance, 0);
-        std::unique_ptr<WeightedProtocol> protocol;
-        if (std::string(kind) == "w-uniform")
-          protocol = std::make_unique<WeightedUniformSampling>(0.5);
-        else
-          protocol = std::make_unique<WeightedAdmissionControl>();
+        State state = State::all_on(instance, 0);
+        ProtocolSpec spec;
+        spec.kind = kind;
+        spec.lambda = std::string(kind) == "uniform" ? 0.5 : 1.0;
+        const auto protocol = make_protocol(spec);
         EngineConfig config;
         config.max_rounds = 30000;
         const EngineResult result = Engine(config).run(*protocol, state, rng);

@@ -679,6 +679,9 @@ AsyncRunResult run_async(const Instance& instance, const EngineConfig& config,
                          bool gated, double lambda) {
   const std::size_t m = instance.num_resources();
   const std::size_t n = instance.num_users();
+  // Every agent joins and leaves as one unit of load.
+  QOSLB_REQUIRE(!instance.weighted(),
+                "async runs do not support weighted instances");
   QOSLB_REQUIRE(config.initial_assignment.empty() ||
                     config.initial_assignment.size() == n,
                 "initial_assignment must have one entry per user");

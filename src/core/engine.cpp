@@ -8,8 +8,6 @@
 
 #include "core/async/async_protocols.hpp"
 #include "core/potential.hpp"
-#include "core/weighted/weighted_protocols.hpp"
-#include "core/weighted/weighted_state.hpp"
 #include "obs/decision_sink.hpp"
 #include "obs/metrics.hpp"
 #include "obs/perf_counters.hpp"
@@ -537,6 +535,10 @@ EngineResult Engine::drive(Protocol& protocol, State& state, Xoshiro256* rng,
                            std::uint64_t start_round, Counters start_counters,
                            ChurnTracker tracker) const {
   config_.churn.validate(state.num_resources());
+  // A protocol that tests `load + 1` would misjudge every weighted move.
+  QOSLB_REQUIRE(!state.instance().weighted() || protocol.weighted_compatible(),
+                "protocol '" + protocol.name() +
+                    "' does not support weighted instances");
   EngineResult result;
   result.counters = start_counters;
   result.rounds = start_round;
@@ -691,6 +693,9 @@ EngineResult Engine::drive(Protocol& protocol, State& state, Xoshiro256* rng,
       result.converged ? Termination::kConverged : Termination::kRoundCap;
   result.final_satisfied = satisfied;
   result.all_satisfied = result.final_satisfied == n;
+  result.final_satisfied_weight = state.instance().weighted()
+                                      ? state.satisfied_weight()
+                                      : satisfied;
   result.threads_used = engine.threads();
   result.churn = tracker.stats;
   telemetry.finish(state);
@@ -736,44 +741,6 @@ EngineResult Engine::resume(Protocol& protocol, const SnapshotV1& snapshot,
   protocol.snapshot_read(protocol_state);
   return drive(protocol, state, /*rng=*/nullptr, snapshot.master_seed,
                snapshot.next_round, snapshot.counters, snapshot.churn);
-}
-
-EngineResult Engine::run(WeightedProtocol& protocol, WeightedState& state,
-                         Xoshiro256& rng) const {
-  // The weighted loop checks stability *before* each step (matching the
-  // historical run_weighted_protocol semantics exactly).
-  EngineResult result;
-  protocol.reset();
-  // Weighted runs fill metrics and phase timers; trace rows are a State
-  // concept and stay empty (docs/observability.md).
-  result.telemetry.enabled = config_.telemetry.any();
-  const obs::Clock* clock = config_.telemetry.clock;
-  obs::PhaseTimers* timers = &result.telemetry.phases;
-  for (std::uint64_t round = 0; round <= config_.max_rounds; ++round) {
-    const std::size_t satisfied = state.count_satisfied();
-    const bool check_now = round % config_.stability_check_period == 0;
-    if (satisfied == state.num_users() || check_now) {
-      obs::ScopedPhase phase(clock, timers, obs::Phase::kSatisfactionCheck);
-      if (protocol.is_stable(state)) {
-        result.converged = true;
-        break;
-      }
-    }
-    if (round == config_.max_rounds) break;
-    {
-      obs::ScopedPhase phase(clock, timers, obs::Phase::kStep);
-      protocol.step(state, rng, result.counters);
-    }
-    ++result.counters.rounds;
-    ++result.rounds;
-  }
-  result.termination =
-      result.converged ? Termination::kConverged : Termination::kRoundCap;
-  result.final_satisfied = state.count_satisfied();
-  result.final_satisfied_weight = state.satisfied_weight();
-  result.all_satisfied = result.final_satisfied == state.num_users();
-  export_metrics(config_.telemetry, result, nullptr);
-  return result;
 }
 
 EngineResult Engine::run_async_admission(const Instance& instance) const {

@@ -16,8 +16,6 @@
 namespace qoslb {
 
 class Instance;
-class WeightedProtocol;
-class WeightedState;
 
 /// Why a run stopped.
 enum class Termination : std::uint8_t {
@@ -40,8 +38,8 @@ enum class EngineMode : std::uint8_t {
 };
 
 /// The one run configuration (DESIGN.md §6, docs/engine.md). Supersedes the
-/// former RunConfig / AsyncConfig / weighted runner arguments; fields that
-/// don't apply to a given entry point are simply ignored by it.
+/// former RunConfig / AsyncConfig arguments; fields that don't apply to a
+/// given entry point are simply ignored by it.
 struct EngineConfig {
   // --- synchronous rounds ---
   std::uint64_t max_rounds = 1u << 20;  // qoslb-snapshot: transient
@@ -120,7 +118,9 @@ struct EngineResult {
   bool converged = false;      // termination == kConverged or kQuiesced
   bool all_satisfied = false;  // every user satisfied at the end
   std::size_t final_satisfied = 0;
-  std::uint64_t final_satisfied_weight = 0;  // weighted runs only
+  // Σ weight over satisfied users (= final_satisfied when unweighted);
+  // synchronous runs only.
+  std::uint64_t final_satisfied_weight = 0;
   double virtual_time = 0.0;                 // async: time of the last event
   std::uint64_t events = 0;                  // async: deliveries executed
   std::size_t threads_used = 1;              // sharded runs: worker count
@@ -137,9 +137,9 @@ struct EngineResult {
 
 /// The unified run facade: one configuration, one result, every execution
 /// substrate — the synchronous round loop (sharded over
-/// sim/parallel_round_engine for step_users() protocols), the weighted-model
-/// runner, and the asynchronous DES realizations. See docs/engine.md for the
-/// API migration table from the former entry points.
+/// sim/parallel_round_engine for step_users() protocols; weighted instances
+/// run on it too) and the asynchronous DES realizations. See docs/engine.md
+/// for the API migration table from the former entry points.
 class Engine {
  public:
   Engine() = default;
@@ -158,19 +158,17 @@ class Engine {
   /// deterministic in (config().seed, rng state) and bit-identical for
   /// every thread count and engine mode (dense vs. active, for
   /// active-set-compatible protocols). Other protocols run one
-  /// step(state, rng) per round of the same loop, inline.
+  /// step(state, rng) per round of the same loop, inline. A weighted
+  /// instance (Instance::weighted()) needs a protocol with
+  /// weighted_compatible().
   EngineResult run(Protocol& protocol, State& state, Xoshiro256& rng) const;
 
-  /// Weighted-model overload: the state/protocol kinds select the weighted
-  /// sequential path, so callers use one run() entry point for both models.
-  EngineResult run(WeightedProtocol& protocol, WeightedState& state,
-                   Xoshiro256& rng) const;
-
   /// Asynchronous (DES) admission protocol under this config's seed,
-  /// latency, start and fault plan.
+  /// latency, start and fault plan. The DES agents count unit loads, so
+  /// weighted instances are rejected.
   EngineResult run_async_admission(const Instance& instance) const;
 
-  /// Asynchronous optimistic (λ-damped) protocol.
+  /// Asynchronous optimistic (λ-damped) protocol; unweighted instances only.
   EngineResult run_async_optimistic(const Instance& instance,
                                     double lambda) const;
 

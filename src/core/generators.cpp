@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <numeric>
 
 #include "rng/distributions.hpp"
 #include "rng/zipf.hpp"
@@ -204,6 +206,40 @@ Instance make_clustered_bipartite(std::size_t n, std::size_t m,
       thresholds_to_requirements(std::vector<int>(n, t_base));
   return Instance(std::move(capacities), std::move(requirements),
                   RateModel::bipartite(n, m, std::move(edges)));
+}
+
+Instance make_weighted_feasible(std::size_t n, std::size_t m, double slack,
+                                std::size_t weight_classes, double skew,
+                                Xoshiro256& rng) {
+  QOSLB_REQUIRE(n >= 1 && m >= 1, "need users and resources");
+  QOSLB_REQUIRE(slack >= 0.0 && slack < 1.0, "slack in [0,1)");
+  QOSLB_REQUIRE(weight_classes >= 1 && weight_classes <= 20,
+                "weight_classes out of range");
+
+  const ZipfSampler zipf(weight_classes, skew);
+  std::vector<std::uint32_t> weights(n);
+  for (auto& w : weights) w = std::uint32_t{1} << zipf(rng);
+
+  // LPT packing: heaviest first onto the currently lightest resource.
+  std::vector<std::size_t> order(n);
+  std::iota(order.begin(), order.end(), 0);
+  std::sort(order.begin(), order.end(),
+            [&](std::size_t a, std::size_t b) { return weights[a] > weights[b]; });
+  std::vector<std::uint64_t> packed_load(m, 0);
+  for (const std::size_t u : order) {
+    const auto lightest = static_cast<std::size_t>(
+        std::min_element(packed_load.begin(), packed_load.end()) -
+        packed_load.begin());
+    packed_load[lightest] += weights[u];
+  }
+  const std::uint64_t peak =
+      *std::max_element(packed_load.begin(), packed_load.end());
+
+  const double threshold =
+      std::ceil(static_cast<double>(peak) / (1.0 - slack));
+  std::vector<double> requirements(n, 1.0 / threshold);
+  return Instance(std::vector<double>(m, 1.0), std::move(requirements),
+                  RateModel(), std::move(weights));
 }
 
 }  // namespace qoslb

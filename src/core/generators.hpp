@@ -62,4 +62,15 @@ Instance make_clustered_bipartite(std::size_t n, std::size_t m,
                                   std::size_t clusters, std::size_t extra,
                                   double slack, Xoshiro256& rng);
 
+/// Feasible-by-construction weighted instance (DESIGN.md §6). Weights are
+/// drawn from {1, 2, 4, ..., 2^(weight_classes-1)} with Zipf(skew) class
+/// frequencies (skew 0 = uniform classes; larger = mostly light users with a
+/// heavy tail). Users are packed LPT-style onto the m unit-capacity
+/// resources; every threshold is then set to ⌈W_peak / (1−slack)⌉ where
+/// W_peak is the packing's maximum load, so the packing certifies
+/// feasibility.
+Instance make_weighted_feasible(std::size_t n, std::size_t m, double slack,
+                                std::size_t weight_classes, double skew,
+                                Xoshiro256& rng);
+
 }  // namespace qoslb

@@ -1,5 +1,6 @@
 #include "core/instance.hpp"
 
+#include <climits>
 #include <cmath>
 
 #include "util/check.hpp"
@@ -19,8 +20,15 @@ Instance::Instance(std::vector<double> capacities, std::vector<double> requireme
 
 Instance::Instance(std::vector<double> capacities,
                    std::vector<double> requirements, RateModel rates)
+    : Instance(std::move(capacities), std::move(requirements),
+               std::move(rates), {}) {}
+
+Instance::Instance(std::vector<double> capacities,
+                   std::vector<double> requirements, RateModel rates,
+                   std::vector<std::uint32_t> weights)
     : capacities_(std::move(capacities)),
       requirements_(std::move(requirements)),
+      weights_(std::move(weights)),
       rates_(std::move(rates)) {
   QOSLB_REQUIRE(!capacities_.empty(), "instance needs at least one resource");
   QOSLB_REQUIRE(!requirements_.empty(), "instance needs at least one user");
@@ -39,11 +47,27 @@ Instance::Instance(std::vector<double> capacities,
                     (rates_.num_users() == requirements_.size() &&
                      rates_.num_resources() == capacities_.size()),
                 "rate model dimensions must match the instance");
+  total_weight_ = requirements_.size();
+  if (!weights_.empty()) {
+    QOSLB_REQUIRE(weights_.size() == requirements_.size(),
+                  "one weight per user required");
+    total_weight_ = 0;
+    for (const std::uint32_t w : weights_) {
+      QOSLB_REQUIRE(w >= 1, "weights must be at least 1");
+      total_weight_ += w;
+    }
+    QOSLB_REQUIRE(total_weight_ <= static_cast<std::uint64_t>(INT_MAX),
+                  "total weight must fit an int load (at most INT_MAX)");
+    QOSLB_REQUIRE(!rates_.restricted(),
+                  "weighted instances require strictly positive rates "
+                  "(restricted assignment is not supported in the weighted "
+                  "model)");
+  }
   if (identical_ && rates_.is_uniform()) {
     // threshold(u, r) does not depend on r: precompute the per-user table
     // with the exact arithmetic of threshold() so lookups are bit-identical.
     flat_thresholds_.reserve(requirements_.size());
-    const double cap = static_cast<double>(num_users());
+    const double cap = static_cast<double>(total_weight_);
     for (const double inv_q : inv_requirements_) {
       const double floored =
           std::floor(capacities_.front() * inv_q + kFloorEpsilon);
@@ -89,7 +113,7 @@ int Instance::threshold(UserId u, ResourceId r) const {
     ratio *= rate;
   }
   const double floored = std::floor(ratio + kFloorEpsilon);
-  const double cap = static_cast<double>(num_users());
+  const double cap = static_cast<double>(total_weight_);
   return static_cast<int>(std::min(floored, cap));
 }
 

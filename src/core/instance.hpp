@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -19,6 +20,11 @@ namespace qoslb {
 /// uniform (`rate ≡ 1`, the paper's base model); see docs/heterogeneity.md
 /// for the matrix and bipartite restricted-assignment forms.
 ///
+/// Users may carry integer weights `w_u ≥ 1` (the weighted model, DESIGN.md
+/// §6): loads then count weight units, `W_r = Σ w_u` over r's users, and the
+/// same threshold rule reads `W_r ≤ threshold(u, r)`. No weights (the
+/// default) means unit weights, where `W_r` is the occupancy.
+///
 /// Immutable after construction; States reference an Instance and must not
 /// outlive it.
 class Instance {
@@ -29,6 +35,12 @@ class Instance {
   /// Heterogeneous rates; `rates` dimensions must match (unless uniform).
   Instance(std::vector<double> capacities, std::vector<double> requirements,
            RateModel rates);
+
+  /// Weighted users: `weights[u] ≥ 1`, one per user, total at most INT_MAX
+  /// (loads are `int`); an empty vector means unit weights. Weighted
+  /// instances require strictly positive rates (no restricted assignment).
+  Instance(std::vector<double> capacities, std::vector<double> requirements,
+           RateModel rates, std::vector<std::uint32_t> weights);
 
   /// All resources share one capacity (the paper's base model).
   static Instance identical(std::size_t m_resources, double capacity,
@@ -51,9 +63,21 @@ class Instance {
   /// Service rate of the (u, r) pair; 0 means `u` cannot use `r`.
   double rate(UserId u, ResourceId r) const { return rates_.rate(u, r); }
 
-  /// Maximum occupancy of `r` at which user `u` is still satisfied; 0 means
-  /// `u` can never be satisfied on `r` (in particular for every unreachable
-  /// pair). Clamped to num_users() (occupancy can never exceed n, so larger
+  /// True iff the users carry explicit weights (see the class comment).
+  bool weighted() const { return !weights_.empty(); }
+
+  /// User u's weight: what it adds to its resource's load (1 unless
+  /// weighted()).
+  int weight(UserId u) const {
+    return weights_.empty() ? 1 : static_cast<int>(weights_[u]);
+  }
+
+  /// Σ weight(u): the largest load any resource can reach (n when unit).
+  std::uint64_t total_weight() const { return total_weight_; }
+
+  /// Maximum load of `r` at which user `u` is still satisfied; 0 means `u`
+  /// can never be satisfied on `r` (in particular for every unreachable
+  /// pair). Clamped to total_weight() (a load can never exceed it, so larger
   /// thresholds are indistinguishable).
   int threshold(UserId u, ResourceId r) const;
 
@@ -89,6 +113,8 @@ class Instance {
   std::vector<double> requirements_;
   std::vector<double> inv_requirements_;  // 1/q_u, precomputed for threshold()
   std::vector<int> flat_thresholds_;      // threshold(u, ·) when r-independent
+  std::vector<std::uint32_t> weights_;    // empty: unit weights
+  std::uint64_t total_weight_ = 0;
   RateModel rates_;
   bool identical_ = true;
 };

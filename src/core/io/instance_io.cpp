@@ -59,6 +59,9 @@ void expect_magic(std::istream& in, const char* magic) {
 }  // namespace
 
 void write_instance(std::ostream& out, const Instance& instance) {
+  // The v2 format has no weight section; dropping the weights would
+  // silently turn the instance into a different problem.
+  if (instance.weighted()) fail("write_instance does not serialize user weights");
   const auto previous = out.precision(std::numeric_limits<double>::max_digits10);
   out << "qoslb-instance v2\n";
   out << "resources " << instance.num_resources() << '\n';

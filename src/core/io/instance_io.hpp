@@ -30,6 +30,8 @@ namespace qoslb {
 /// Numbers are written with 17 significant digits so the round trip is
 /// value-exact for doubles.
 
+/// Throws std::invalid_argument for a weighted instance: the format has no
+/// weight section.
 void write_instance(std::ostream& out, const Instance& instance);
 
 /// Throws std::invalid_argument on malformed input.

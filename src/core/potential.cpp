@@ -25,7 +25,7 @@ double quality_deficit(const State& state) {
 
 double load_variance(const State& state) {
   const auto& loads = state.loads();
-  const double mean = static_cast<double>(state.num_users()) /
+  const double mean = static_cast<double>(state.instance().total_weight()) /
                       static_cast<double>(state.num_resources());
   double acc = 0.0;
   for (const int load : loads) {

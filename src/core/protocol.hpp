@@ -138,6 +138,13 @@ class Protocol {
   /// whole-live-list draw bit-for-bit.
   virtual bool restricted_assignment_compatible() const { return false; }
 
+  /// True when this dynamic respects weighted instances
+  /// (Instance::weighted()): every probe, deviation and admission test
+  /// counts the mover's weight (`load + weight(u)`, never `load + 1`). The
+  /// engine rejects weighted instances for protocols that don't opt in.
+  /// Unweighted instances are unaffected — weight(u) is 1 there.
+  virtual bool weighted_compatible() const { return false; }
+
   /// Decides for `users[0..count)` against `load_snapshot` (the loads at
   /// the round boundary), appending wishes to `out`. Draw randomness for
   /// user u exclusively from `rng.user_stream(u)`; tally into `counters`

@@ -24,6 +24,7 @@ void AdmissionControl::step_users(const State& state,
   for (const UserId u : unsatisfied_prefilter(state, snapshot, users, count,
                                               out.survivors)) {
     const ResourceId current = assignment[u];
+    const int w = instance.weight(u);
     PhiloxEngine rng = streams.user_stream(u);
     ResourceId best = kNoResource;
     double best_quality = 0.0;
@@ -31,8 +32,8 @@ void AdmissionControl::step_users(const State& state,
       const ResourceId r = sample_reachable(state, u, rng);
       ++counters.probes;
       if (r == kNoResource || r == current) continue;
-      if (snapshot[r] + 1 > instance.threshold(u, r)) continue;
-      const double quality = instance.quality(u, r, snapshot[r] + 1);
+      if (snapshot[r] + w > instance.threshold(u, r)) continue;
+      const double quality = instance.quality(u, r, snapshot[r] + w);
       if (best == kNoResource || quality > best_quality) {
         best = r;
         best_quality = quality;

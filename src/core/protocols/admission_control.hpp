@@ -22,6 +22,7 @@ class AdmissionControl : public Protocol {
   bool supports_step_users() const override { return true; }
   bool active_set_compatible() const override { return true; }
   bool restricted_assignment_compatible() const override { return true; }
+  bool weighted_compatible() const override { return true; }
 
   void step_users(const State& state, const std::vector<int>& load_snapshot,
                   const UserId* users, std::size_t count, MigrationBuffer& out,

@@ -1,6 +1,8 @@
 #include "core/protocols/common.hpp"
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 
 #include "core/satisfaction_scan.hpp"
 
@@ -42,7 +44,11 @@ void resident_min_thresholds(const State& state, std::vector<int>& out) {
   const auto& assignment = state.assignment();
   const auto& thresholds = state.current_thresholds();
   const auto& loads = state.loads();
-  out.assign(state.num_resources(), static_cast<int>(state.num_users()) + 1);
+  // No load exceeds the total weight, so total + 1 gates nothing; at a
+  // total of exactly INT_MAX, INT_MAX itself is that value.
+  const std::uint64_t no_resident = std::min<std::uint64_t>(
+      state.instance().total_weight() + 1, std::numeric_limits<int>::max());
+  out.assign(state.num_resources(), static_cast<int>(no_resident));
   for (UserId u = 0; u < assignment.size(); ++u) {
     const ResourceId r = assignment[u];
     const int t = thresholds[u];
@@ -83,13 +89,16 @@ void apply_with_admission(State& state,
                                      return req.target != r;
                                    });
     const auto count = static_cast<std::size_t>(last - first);
-    const int base_load = state.load(r);
+    // post_load is the load after admitting the prefix [0, admitted] (its
+    // weight sum on top of the current load).
+    int post_load = state.load(r);
     std::size_t admitted = 0;
     while (admitted < count) {
-      const int k = static_cast<int>(admitted) + 1;
-      const int post_load = base_load + k;
-      const int kth_threshold = instance.threshold(first[admitted].user, r);
-      if (post_load > resident_min[r] || post_load > kth_threshold) break;
+      const UserId candidate = first[admitted].user;
+      post_load += instance.weight(candidate);
+      if (post_load > resident_min[r] ||
+          post_load > instance.threshold(candidate, r))
+        break;
       ++admitted;
     }
     for (std::size_t i = 0; i < admitted; ++i) state.move(first[i].user, r);

@@ -78,15 +78,16 @@ struct AdmissionScratch {
 /// resource sorts its requesters by descending threshold and admits the
 /// longest prefix k such that the post-admission load keeps both the
 /// admitted requesters and the current residents satisfied:
-///     load + k ≤ min(resident_min_threshold, k-th admitted threshold).
-/// Rejected requesters stay where they are.
+///     load + W_k ≤ min(resident_min_threshold, k-th admitted threshold),
+/// where W_k is the prefix's weight sum (k for unit weights). Rejected
+/// requesters stay where they are.
 void apply_with_admission(State& state,
                           const std::vector<MigrationRequest>& requests,
                           Counters& counters, AdmissionScratch& scratch);
 
 /// Fills `out` with the minimum threshold among the *currently satisfied*
-/// residents of each resource (num_users()+1 when there is none, i.e. no
-/// resident constraint). Unsatisfied residents do not gate admission — they
+/// residents of each resource (total weight + 1 when there is none, i.e.
+/// no resident constraint). Unsatisfied residents do not gate admission — they
 /// cannot be hurt further.
 void resident_min_thresholds(const State& state, std::vector<int>& out);
 

@@ -28,6 +28,9 @@ class SequentialBestResponse : public Protocol {
   /// unreachable pair), so no sampling helper is needed.
   bool restricted_assignment_compatible() const override { return true; }
 
+  /// best_satisfying_deviation() counts the mover's weight.
+  bool weighted_compatible() const override { return true; }
+
   void reset() override { cursor_ = 0; }
 
  private:

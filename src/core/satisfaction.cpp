@@ -8,8 +8,9 @@ namespace qoslb {
 
 bool satisfied_after_move(const State& state, UserId u, ResourceId r) {
   const Instance& instance = state.instance();
-  const int post_load =
-      state.resource_of(u) == r ? state.load(r) : state.load(r) + 1;
+  const int post_load = state.resource_of(u) == r
+                            ? state.load(r)
+                            : state.load(r) + instance.weight(u);
   return post_load <= instance.threshold(u, r);
 }
 
@@ -25,11 +26,12 @@ bool has_satisfying_deviation(const State& state, UserId u) {
 ResourceId best_satisfying_deviation(const State& state, UserId u) {
   const Instance& instance = state.instance();
   const ResourceId current = state.resource_of(u);
+  const int w = instance.weight(u);
   ResourceId best = kNoResource;
   double best_quality = 0.0;
   for (const ResourceId r : state.live_resources()) {
     if (r == current || !satisfied_after_move(state, u, r)) continue;
-    const double quality = instance.quality(u, r, state.load(r) + 1);
+    const double quality = instance.quality(u, r, state.load(r) + w);
     if (best == kNoResource || quality > best_quality) {
       best = r;
       best_quality = quality;
@@ -41,8 +43,8 @@ ResourceId best_satisfying_deviation(const State& state, UserId u) {
 namespace {
 
 /// Identical-capacity fast path: a user has a satisfying deviation iff
-/// min-load-excluding-own + 1 <= its threshold, so only the two smallest
-/// loads (with an argmin) are needed.
+/// min-load-excluding-own + its weight <= its threshold, so only the two
+/// smallest loads (with an argmin) are needed.
 bool equilibrium_identical(const State& state) {
   const Instance& instance = state.instance();
   const auto& loads = state.loads();
@@ -68,7 +70,7 @@ bool equilibrium_identical(const State& state) {
     // sitting there has nowhere to deviate to.
     if (candidate == std::numeric_limits<int>::max()) return true;
     // Thresholds are identical across resources for identical capacities.
-    return candidate + 1 > instance.threshold(u, 0);
+    return candidate + instance.weight(u) > instance.threshold(u, 0);
   });
 }
 

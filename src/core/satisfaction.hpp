@@ -11,8 +11,9 @@ namespace qoslb {
 /// the move; a state is a satisfaction equilibrium iff no unsatisfied user
 /// has a satisfying deviation.
 
-/// Would user u be satisfied on resource r after moving there? Counts u in
-/// the destination load; true for r == current iff u is currently satisfied.
+/// Would user u be satisfied on resource r after moving there? Counts u's
+/// weight in the destination load; true for r == current iff u is currently
+/// satisfied.
 bool satisfied_after_move(const State& state, UserId u, ResourceId r);
 
 /// O(m) scan over all resources.

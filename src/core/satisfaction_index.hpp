@@ -18,11 +18,12 @@ namespace qoslb {
 ///
 /// The structural fact it exploits: user `u` sitting on resource `r` with
 /// threshold `t = threshold(u, r)` is satisfied iff `load(r) <= t`, so a
-/// committed move only changes loads on its two endpoint resources by one —
-/// and of the users there, exactly the ones whose threshold equals the load
-/// value the change swept over flip satisfaction. Bucketing residents by
-/// (resource, threshold) turns that into one bucket lookup per endpoint, so
-/// maintenance is O(1) + #flips per move, and the total flip work over a run
+/// committed move of a user of weight `w` only changes loads on its two
+/// endpoint resources by `w` — and of the users there, exactly the ones
+/// whose threshold lies among the `w` load values the change swept over flip
+/// satisfaction. Bucketing residents by (resource, threshold) turns that
+/// into `w` bucket lookups per endpoint (one for unit weights), so
+/// maintenance is O(w) + #flips per move, and the total flip work over a run
 /// is bounded by the run's true satisfaction churn.
 ///
 /// The layout is flat and sized once by rebuild(), so upkeep allocates
@@ -66,21 +67,24 @@ class SatisfactionIndex {
     }
   }
 
-  /// Reflects a committed move of `u` from `src` to `dst` (src != dst) —
-  /// call *after* the host state updated its loads. `*_load_after` are the
-  /// post-move loads. Cost: two O(1) bucket updates plus one step per user
-  /// whose satisfaction actually changed.
-  void on_move(UserId u, ResourceId src, int threshold_on_src, ResourceId dst,
-               int threshold_on_dst, int src_load_after, int dst_load_after) {
+  /// Reflects a committed move of `u` (weight `w`) from `src` to `dst`
+  /// (src != dst) — call *after* the host state updated its loads.
+  /// `*_load_after` are the post-move loads. Cost: 2w bucket lookups plus
+  /// one step per user whose satisfaction actually changed.
+  void on_move(UserId u, int w, ResourceId src, int threshold_on_src,
+               ResourceId dst, int threshold_on_dst, int src_load_after,
+               int dst_load_after) {
     erase_bucket(src, threshold_on_src, u);
-    // src's load fell from src_load_after + 1 to src_load_after: the users
-    // with threshold exactly src_load_after were unsatisfied before and are
-    // satisfied now.
-    flip_bucket(src, src_load_after, /*satisfied=*/true);
-    // dst's load rose from dst_load_after - 1 to dst_load_after: the users
-    // with threshold exactly dst_load_after - 1 were satisfied before and
-    // are unsatisfied now.
-    flip_bucket(dst, dst_load_after - 1, /*satisfied=*/false);
+    // src's load fell from src_load_after + w to src_load_after: the users
+    // with threshold in [src_load_after, src_load_after + w) were
+    // unsatisfied before and are satisfied now.
+    for (int t = src_load_after; t < src_load_after + w; ++t)
+      flip_bucket(src, t, /*satisfied=*/true);
+    // dst's load rose from dst_load_after - w to dst_load_after: the users
+    // with threshold in [dst_load_after - w, dst_load_after) were satisfied
+    // before and are unsatisfied now.
+    for (int t = dst_load_after - w; t < dst_load_after; ++t)
+      flip_bucket(dst, t, /*satisfied=*/false);
     insert_bucket(dst, threshold_on_dst, u);
     // The mover itself is re-evaluated on its new resource (set_status is
     // idempotent, so it does not matter what the flips above did to u).

@@ -325,11 +325,14 @@ SnapshotV1 capture_snapshot(const Protocol& protocol, const State& state,
                             std::uint64_t master_seed,
                             std::uint64_t next_round, const Counters& counters,
                             const ChurnTracker& churn) {
+  const Instance& instance = state.instance();
+  // SnapshotV1 carries no weights; a restore would rebuild a unit instance.
+  QOSLB_REQUIRE(!instance.weighted(),
+                "checkpoints do not serialize user weights");
   SnapshotV1 snapshot;
   snapshot.protocol = protocol.name();
   snapshot.next_round = next_round;
   snapshot.master_seed = master_seed;
-  const Instance& instance = state.instance();
   snapshot.capacities.reserve(instance.num_resources());
   for (ResourceId r = 0; r < instance.num_resources(); ++r)
     snapshot.capacities.push_back(instance.capacity(r));

@@ -64,7 +64,8 @@ void write_snapshot(std::ostream& out, const SnapshotV1& snapshot);
 SnapshotV1 read_snapshot(std::istream& in);
 
 /// Assembles a checkpoint from live run objects (engine internal; exposed
-/// for the chaos harness and tests).
+/// for the chaos harness and tests). Throws std::invalid_argument for a
+/// state on a weighted instance: SnapshotV1 has no weight field.
 SnapshotV1 capture_snapshot(const Protocol& protocol, const State& state,
                             std::uint64_t master_seed,
                             std::uint64_t next_round, const Counters& counters,

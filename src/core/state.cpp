@@ -19,7 +19,7 @@ State::State(const Instance& instance, std::vector<ResourceId> assignment)
     QOSLB_REQUIRE(r < instance.num_resources(), "assignment to unknown resource");
     QOSLB_REQUIRE(!instance.restricted() || instance.rate(u, r) > 0.0,
                   "assignment places a user on an unreachable resource");
-    ++loads_[r];
+    loads_[r] += instance.weight(u);
   }
   current_thresholds_.resize(assignment_.size());
   for (UserId u = 0; u < assignment_.size(); ++u)
@@ -97,7 +97,7 @@ State State::two_choices(const Instance& instance, Xoshiro256& rng) {
           uniform_u64_below(rng, instance.num_resources()));
     }
     const ResourceId choice = loads[b] < loads[a] ? b : a;
-    ++loads[choice];
+    loads[choice] += instance.weight(u);
     assignment[u] = choice;
   }
   return State(instance, std::move(assignment));
@@ -120,8 +120,9 @@ void State::move(UserId u, ResourceId r) {
   if (old == r) return;
   QOSLB_REQUIRE(!instance_->restricted() || instance_->rate(u, r) > 0.0,
                 "move to an unreachable resource");
-  --loads_[old];
-  ++loads_[r];
+  const int w = instance_->weight(u);
+  loads_[old] -= w;
+  loads_[r] += w;
   assignment_[u] = r;
   // The cached source threshold is bit-identical to a recompute (it was
   // produced by the same instance call when u arrived on `old`), so reusing
@@ -130,7 +131,7 @@ void State::move(UserId u, ResourceId r) {
   const int threshold_on_new = instance_->threshold(u, r);
   current_thresholds_[u] = threshold_on_new;
   if (index_)
-    index_->on_move(u, old, threshold_on_old, r, threshold_on_new,
+    index_->on_move(u, w, old, threshold_on_old, r, threshold_on_new,
                     loads_[old], loads_[r]);
 }
 
@@ -157,6 +158,14 @@ std::size_t State::count_satisfied() const {
                                loads_.data(), assignment_.size());
 }
 
+std::uint64_t State::satisfied_weight() const {
+  std::uint64_t total = 0;
+  for (UserId u = 0; u < assignment_.size(); ++u)
+    if (loads_[assignment_[u]] <= current_thresholds_[u])
+      total += static_cast<std::uint64_t>(instance_->weight(u));
+  return total;
+}
+
 int State::max_load() const {
   return *std::max_element(loads_.begin(), loads_.end());
 }
@@ -167,9 +176,10 @@ int State::min_load() const {
 
 void State::check_invariants() const {
   std::vector<int> expected(loads_.size(), 0);
-  for (const ResourceId r : assignment_) {
+  for (UserId u = 0; u < assignment_.size(); ++u) {
+    const ResourceId r = assignment_[u];
     QOSLB_CHECK(r < loads_.size(), "assignment to unknown resource");
-    ++expected[r];
+    expected[r] += instance_->weight(u);
   }
   QOSLB_CHECK(expected == loads_, "cached loads diverged from assignment");
   for (UserId u = 0; u < assignment_.size(); ++u)

@@ -14,7 +14,9 @@ namespace qoslb {
 
 /// A complete assignment of users to resources plus the derived load vector.
 /// Holds a non-owning reference to its Instance (which must outlive it).
-/// move() maintains the loads incrementally in O(1).
+/// move() maintains the loads incrementally in O(1). A load is the total
+/// weight of the resource's users (its occupancy when the instance is
+/// unweighted), so move() shifts instance().weight(u) between endpoints.
 ///
 /// The storage is structure-of-arrays (docs/performance.md): three parallel
 /// contiguous arrays — `assignment_[u]`, `loads_[r]`, and
@@ -91,8 +93,8 @@ class State {
   /// Turns on the incremental satisfaction index (idempotent; O(n) build,
   /// the only allocation it makes). Afterwards count_satisfied() is O(1),
   /// for_each_unsatisfied() costs O(n / 64 + |unsatisfied|), and every
-  /// move() additionally maintains the index in O(1) + #satisfaction flips
-  /// without allocating. The engine enables it for active-mode runs only;
+  /// move() additionally maintains the index in O(weight) + #satisfaction
+  /// flips without allocating. The engine enables it for active-mode runs only;
   /// every other path reads satisfaction through the SoA scans
   /// (core/satisfaction_scan.hpp).
   void enable_satisfaction_tracking();
@@ -108,6 +110,10 @@ class State {
 
   std::size_t count_satisfied() const;
   std::size_t count_unsatisfied() const { return num_users() - count_satisfied(); }
+
+  /// Total weight of the satisfied users (count_satisfied() when
+  /// unweighted): the weighted model's welfare measure. One O(n) scan.
+  std::uint64_t satisfied_weight() const;
 
   int max_load() const;
   int min_load() const;

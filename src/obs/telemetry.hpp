@@ -23,8 +23,8 @@ struct Telemetry {
   /// result (metrics catalog: docs/observability.md).
   MetricsRegistry* metrics = nullptr;
   /// Per-round trace rows (round-0 snapshot included). Only the synchronous
-  /// round paths produce rows; weighted and async runs fill metrics and
-  /// phase timers only.
+  /// round loop (weighted instances included) produces rows; async runs
+  /// fill metrics and phase timers only.
   TraceSink* sink = nullptr;
   /// Phase-timer time source. Null disables timing; tools inject a
   /// SteadyClock, async runs override with the DES virtual clock.

@@ -8,10 +8,12 @@
 /// curated surface:
 ///
 ///   - Engine / EngineConfig / EngineResult  — the one way to run a protocol
-///     (synchronous rounds, sequential or sharded-parallel, weighted, async)
+///     (synchronous rounds, sequential or sharded-parallel, async)
 ///   - Protocol + the registry (make_protocol / protocol_registry)
-///   - Instance / State and the generator families
-///   - the weighted-user model and the async (DES) fault model
+///   - Instance / State and the generator families; weighted users are an
+///     optional Instance field (make_weighted_feasible), run by the same
+///     round loop
+///   - the async (DES) fault model
 ///   - the observability layer (MetricsRegistry, TraceSink, Clock/Stopwatch)
 ///   - RNG (Xoshiro256, Philox substreams) and small table/CSV helpers
 
@@ -24,9 +26,6 @@
 #include "core/satisfaction.hpp"
 #include "core/state.hpp"
 #include "core/async/async_protocols.hpp"
-#include "core/weighted/weighted_generators.hpp"
-#include "core/weighted/weighted_protocols.hpp"
-#include "core/weighted/weighted_state.hpp"
 #include "net/generators.hpp"
 #include "net/graph.hpp"
 #include "obs/clock.hpp"

@@ -57,6 +57,7 @@ void rule_ql001(const SourceFile& f, std::vector<Finding>& out) {
 
 bool ql002_applies(const std::string& rel) {
   return starts_with(rel, "src/core/protocols/") ||
+         starts_with(rel, "src/core/async/") ||
          rel == "src/core/engine.cpp" || rel == "src/core/engine.hpp" ||
          rel == "src/sim/parallel_round_engine.hpp" ||
          rel == "src/core/satisfaction_index.hpp";
@@ -77,8 +78,11 @@ void rule_ql002(const SourceFile& f, std::vector<Finding>& out) {
   // Pass 2: range-for over, or begin()/end() on, any of those names. Bucket
   // order is implementation- and size-defined, so any walk is a
   // platform-dependent result order in a file that must replay exactly.
+  // Comparing against one (`it != x.end()` after a find) walks nothing, so
+  // a begin()/end() operand of == or != is not a hit.
   static const std::regex kRangeFor(R"(for\s*\([^;:()]*:\s*(\w+)\s*\))");
-  static const std::regex kBegin(R"((\w+)\s*\.\s*c?(?:begin|end|rbegin)\s*\()");
+  static const std::regex kBegin(
+      R"((==|!=)?\s*\b(\w+)\s*\.\s*c?(?:begin|end|rbegin)\s*\([^()]*\)(\s*[=!]=)?)");
   const std::string suffix =
       "' — hash-order walk in a determinism-critical file; use a sorted "
       "container or an index-ordered vector";
@@ -91,7 +95,9 @@ void rule_ql002(const SourceFile& f, std::vector<Finding>& out) {
     for (const auto& [re, what] : kIteration) {
       auto begin = std::sregex_iterator(line.begin(), line.end(), *re);
       for (auto it = begin; it != std::sregex_iterator(); ++it) {
-        const std::string name = (*it)[1].str();
+        const bool begin_end = re == &kBegin;
+        if (begin_end && ((*it)[1].matched || (*it)[3].matched)) continue;
+        const std::string name = (*it)[begin_end ? 2 : 1].str();
         if (unordered_names.count(name)) {
           out.push_back({"QL002", f.rel, static_cast<int>(i) + 1,
                          what + name + suffix});

@@ -1,6 +1,7 @@
 // Property tests for the incremental satisfaction index: after long random
-// move sequences — under the unit model, related capacities, a per-pair rate
-// matrix, a restricted access graph, and a crowded small bucket table — the
+// move sequences — under the unit model, weighted users, related
+// capacities, a per-pair rate matrix, a restricted access graph, and a
+// crowded small bucket table — the
 // incrementally maintained unsatisfied bitmap must enumerate exactly the
 // from-scratch unsatisfied set, in ascending id order, and the satisfied
 // counter must equal a recount. Plus the index's scope: only active-mode
@@ -10,7 +11,6 @@
 
 #include <cstdint>
 #include <span>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -18,9 +18,6 @@
 #include "core/generators.hpp"
 #include "core/protocols/registry.hpp"
 #include "core/state.hpp"
-#include "core/weighted/weighted_generators.hpp"
-#include "core/weighted/weighted_protocols.hpp"
-#include "core/weighted/weighted_state.hpp"
 #include "rng/distributions.hpp"
 #include "rng/xoshiro256.hpp"
 
@@ -127,6 +124,22 @@ TEST(SatisfactionIndexProperty, UnitModelFromCongestedStart) {
 // Beyond flat thresholds the bucket key (r, t) varies in t across resources
 // too: related capacities scale t per resource, and a per-pair rate matrix
 // or a restricted access graph gives every (user, resource) pair its own t.
+
+TEST(SatisfactionIndexProperty, WeightedModelMatchesRecomputeOverRandomMoves) {
+  // A move of weight w sweeps w load values at each endpoint, so the index
+  // flips up to 2w threshold buckets per move; weights up to 32 exercise
+  // long sweeps from both a random and a congested start.
+  for (const std::uint64_t seed : {3u, 8u}) {
+    Xoshiro256 rng(seed);
+    const Instance instance = make_weighted_feasible(
+        509, 16, 0.2, /*weight_classes=*/6, /*skew=*/0.5, rng);
+    ASSERT_TRUE(instance.weighted());
+    State random_start = State::random(instance, rng);
+    random_walk(random_start, rng);
+    State congested = State::all_on(instance, 0);
+    random_walk(congested, rng);
+  }
+}
 
 TEST(SatisfactionIndexProperty, RelatedCapacitiesMatchRecompute) {
   for (const std::uint64_t seed : {2u, 13u}) {
@@ -267,24 +280,22 @@ TEST(SatisfactionIndexScope, OnlyActiveRunsBuildTheIndex) {
   EXPECT_TRUE(tracked_after_run("admission", EngineMode::kActive));
 }
 
-template <typename T>
-concept HasSatisfactionIndex = requires(T& t) {
-  t.enable_satisfaction_tracking();
-  t.satisfaction_tracking();
-};
-
-TEST(SatisfactionIndexScope, WeightedRunsHaveNoIndex) {
-  // The weighted model reads satisfaction by direct scans only: the index
-  // API does not exist on WeightedState, and weighted runs still converge.
-  static_assert(!HasSatisfactionIndex<WeightedState>);
-  static_assert(HasSatisfactionIndex<State>);
+TEST(SatisfactionIndexScope, WeightedActiveRunsBuildTheIndex) {
+  // Weighted instances share the one State: an active run of a
+  // weight-aware protocol builds and maintains the same index, whose
+  // multi-bucket sweep must agree with a recompute at the end.
   Xoshiro256 rng(9);
-  const WeightedInstance instance =
+  const Instance instance =
       make_weighted_feasible(256, 8, 0.3, /*weight_classes=*/3,
                              /*skew=*/0.5, rng);
-  WeightedState state = WeightedState::all_on(instance, 0);
-  WeightedAdmissionControl protocol;
-  const EngineResult result = Engine().run(protocol, state, rng);
+  State state = State::all_on(instance, 0);
+  ProtocolSpec spec;
+  spec.kind = "admission";
+  const auto protocol = make_protocol(spec);
+  EngineConfig config;
+  config.mode = EngineMode::kActive;
+  const EngineResult result = Engine(config).run(*protocol, state, rng);
+  EXPECT_TRUE(state.satisfaction_tracking());
   EXPECT_TRUE(result.converged);
   EXPECT_EQ(result.final_satisfied, state.count_satisfied());
   state.check_invariants();

@@ -1,10 +1,11 @@
 // Runtime check that engine rounds allocate nothing: this executable
 // replaces the global operator new with a counting one, and a trace sink
 // reads the counter at every round boundary. For every sharded protocol and
-// threads {1, 2}, the rounds after a short warm-up (which sizes every
-// reusable buffer) must perform zero heap allocations — decide fan-out,
-// commit, satisfied count, trace row and convergence check included. Dense
-// mode is checked for every sharded protocol; active mode for every one
+// threads {1, 2}, plus a weighted instance for every weight-aware one, the
+// rounds after a short warm-up (which sizes every reusable buffer) must
+// perform zero heap allocations — decide fan-out, commit, satisfied count,
+// trace row and convergence check included. Dense mode is checked for
+// every sharded protocol; active mode for every one
 // that is active_set_compatible(), which adds the satisfaction index's
 // per-migration upkeep and the per-round enumeration of its unsatisfied
 // bitmap. The static rule QL015 (qoslb-lint) catches `new`/`malloc`/locks on
@@ -118,12 +119,14 @@ class AllocationProbe final : public obs::TraceSink {
 struct Case {
   std::string kind;
   std::size_t threads;
+  bool weighted = false;
 };
 
 // Printed by field (the default dumps the bytes of the string's heap
 // pointer), so the ctest names CMake derives from it are stable.
 void PrintTo(const Case& c, std::ostream* os) {
   *os << c.kind << " threads=" << c.threads;
+  if (c.weighted) *os << " weighted";
 }
 
 /// Runs `c.kind` in `mode` from an all-on-one start and expects every round
@@ -134,11 +137,15 @@ void expect_steady_rounds_allocation_free(const Case& c, EngineMode mode) {
   // the warm-up. Everyone starts on the hub of a star graph, from which the
   // nbr-* kinds reach every resource too. λ = 1 makes round 1 a
   // full-request round. 20 shards give both pool participants shards to
-  // claim.
+  // claim. The weighted instance (weights up to 32, zero slack) packs as
+  // tightly as its LPT certificate allows, so it stays busy just as long.
   Xoshiro256 rng(42);
   const std::size_t n = 40000;
-  const std::size_t m = n;
-  const Instance instance = make_uniform_feasible(n, m, 0.0, 1.0, rng);
+  const std::size_t m = c.weighted ? n / 16 : n;
+  const Instance instance =
+      c.weighted ? make_weighted_feasible(n, m, 0.0, /*weight_classes=*/6,
+                                          /*skew=*/1.0, rng)
+                 : make_uniform_feasible(n, m, 0.0, 1.0, rng);
   const Graph star = make_star(static_cast<Vertex>(m));
   State state = State::all_on(instance, 0);
   ProtocolSpec spec;
@@ -193,6 +200,9 @@ std::vector<Case> cases(bool active_only) {
     if (!protocol->supports_step_users()) continue;
     if (active_only && !protocol->active_set_compatible()) continue;
     for (const std::size_t threads : {1u, 2u}) out.push_back({info.name, threads});
+    if (protocol->weighted_compatible())
+      for (const std::size_t threads : {1u, 2u})
+        out.push_back({info.name, threads, /*weighted=*/true});
   }
   return out;
 }
@@ -201,7 +211,8 @@ std::string case_name(const ::testing::TestParamInfo<Case>& info) {
   std::string name = info.param.kind;
   for (char& ch : name)
     if (ch == '-') ch = '_';
-  return name + "_t" + std::to_string(info.param.threads);
+  return name + "_t" + std::to_string(info.param.threads) +
+         (info.param.weighted ? "_weighted" : "");
 }
 
 INSTANTIATE_TEST_SUITE_P(ShardedProtocols, DenseRoundAllocations,

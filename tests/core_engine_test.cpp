@@ -54,9 +54,10 @@ void expect_counters_eq(const Counters& a, const Counters& b) {
 
 class ModeThreadInvariance : public ::testing::TestWithParam<ShardedCase> {};
 
-TEST_P(ModeThreadInvariance, DenseActiveAndEveryThreadCountMatch) {
-  const ShardedCase& param = GetParam();
-  const Instance instance = test_instance(2000, 32);
+/// Dense and active mode at every tested thread count against the dense
+/// t=1 run on `instance`.
+void expect_mode_thread_invariance(const ShardedCase& param,
+                                   const Instance& instance) {
   const Graph ring = make_ring(32);
 
   struct RunCase {
@@ -107,8 +108,30 @@ TEST_P(ModeThreadInvariance, DenseActiveAndEveryThreadCountMatch) {
     EXPECT_EQ(result.unsatisfied_trajectory,
               reference_result.unsatisfied_trajectory)
         << label;
+    EXPECT_EQ(result.final_satisfied_weight,
+              reference_result.final_satisfied_weight)
+        << label;
     expect_counters_eq(result.counters, reference_result.counters);
   }
+}
+
+TEST_P(ModeThreadInvariance, DenseActiveAndEveryThreadCountMatch) {
+  const ShardedCase& param = GetParam();
+  expect_mode_thread_invariance(param, test_instance(2000, 32));
+  // The weighted input (weights up to 32) for every weight-aware kind: the
+  // multi-bucket index sweep and the weight-sum admission prefix must keep
+  // the realization thread- and mode-invariant too.
+  ProtocolSpec spec;
+  spec.kind = param.kind;
+  const Graph ring = make_ring(32);
+  spec.graph = &ring;
+  if (!make_protocol(spec)->weighted_compatible()) return;
+  Xoshiro256 rng(5);
+  const Instance weighted =
+      make_weighted_feasible(2000, 32, 0.3, /*weight_classes=*/6,
+                             /*skew=*/0.5, rng);
+  SCOPED_TRACE("weighted");
+  expect_mode_thread_invariance(param, weighted);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllShardedProtocols, ModeThreadInvariance,

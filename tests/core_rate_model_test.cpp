@@ -27,7 +27,6 @@
 #include "core/protocols/registry.hpp"
 #include "core/rate_model.hpp"
 #include "core/snapshot.hpp"
-#include "core/weighted/weighted_instance.hpp"
 #include "net/generators.hpp"
 #include "net/graph.hpp"
 
@@ -292,9 +291,9 @@ TEST(RateModel, HeterogeneousRunsAreThreadAndModeInvariant) {
 TEST(RateModel, WeightedInstanceAppliesSpeedsToThresholds) {
   // 3 jobs × 2 nodes, node 1 serves job 0 at speed 0.5: its threshold there
   // halves, everyone else keeps ⌊s_r/q_u⌋.
-  const WeightedInstance cluster(
-      {8.0, 8.0}, {1.0, 1.0, 1.0}, {1, 2, 4},
-      RateModel::matrix(3, 2, {1.0, 0.5, 1.0, 1.0, 1.0, 1.0}));
+  const Instance cluster(
+      {8.0, 8.0}, {1.0, 1.0, 1.0},
+      RateModel::matrix(3, 2, {1.0, 0.5, 1.0, 1.0, 1.0, 1.0}), {1, 2, 4});
   EXPECT_EQ(cluster.threshold(0, 0), 7);  // clamped to total_weight
   EXPECT_EQ(cluster.threshold(0, 1), 4);
   EXPECT_EQ(cluster.threshold(1, 1), 7);
@@ -303,8 +302,8 @@ TEST(RateModel, WeightedInstanceAppliesSpeedsToThresholds) {
 
 TEST(RateModel, WeightedInstanceRejectsRestrictedRates) {
   const std::string message = thrown_message([] {
-    WeightedInstance({1.0, 1.0}, {0.5, 0.5}, {1, 1},
-                     RateModel::matrix(2, 2, {1.0, 0.0, 1.0, 1.0}));
+    Instance({1.0, 1.0}, {0.5, 0.5},
+             RateModel::matrix(2, 2, {1.0, 0.0, 1.0, 1.0}), {1, 1});
   });
   EXPECT_NE(message.find("strictly positive rates"), std::string::npos)
       << message;

@@ -1,8 +1,8 @@
 // The telemetry determinism contract (docs/observability.md): attaching
 // metrics, trace sinks, and a clock must leave every simulation output —
 // assignments, round counts, counters, trajectories — bit-identical to the
-// telemetry-off run, across thread counts and engine modes, on the sync,
-// weighted, and async paths. Plus the accounting itself: trace rows per
+// telemetry-off run, across thread counts and engine modes, on the sync
+// (unit and weighted) and async paths. Plus the accounting itself: trace rows per
 // round, metrics mirroring the run counters, trace_every thinning, and
 // virtual-time phase attribution for the DES.
 
@@ -236,23 +236,40 @@ TEST(Telemetry, AsyncRunsAreUnchangedAndTimeEventDispatchVirtually) {
             result.events);
 }
 
-TEST(Telemetry, WeightedRunsFillMetricsWithoutTraceRows) {
-  Xoshiro256 rng(9);
-  const WeightedInstance instance =
-      make_weighted_feasible(100, 8, 0.3, 4, 1.0, rng);
-  WeightedAdmissionControl protocol;
-  WeightedState state = WeightedState::all_on(instance, 0);
+TEST(Telemetry, WeightedRunsEmitTraceRows) {
+  // Weighted instances run on the one round loop, so they get the same
+  // trace rows (loads, max_load and potential in weight units) and metrics
+  // as unit runs, and attaching them leaves the realization untouched.
+  Xoshiro256 gen(9);
+  const Instance instance = make_weighted_feasible(100, 8, 0.3, 4, 1.0, gen);
+  ProtocolSpec spec;
+  spec.kind = "admission";
+
+  State reference_state = State::all_on(instance, 0);
+  Xoshiro256 reference_rng(9);
+  const EngineResult reference = Engine(base_config({})).run(
+      *make_protocol(spec), reference_state, reference_rng);
 
   obs::MetricsRegistry metrics;
   obs::SteadyClock clock;
-  EngineConfig config;
-  config.max_rounds = 100000;
-  config.telemetry.metrics = &metrics;
-  config.telemetry.clock = &clock;
-  const EngineResult result = Engine(config).run(protocol, state, rng);
+  obs::MemoryTraceSink sink;
+  obs::Telemetry telemetry;
+  telemetry.metrics = &metrics;
+  telemetry.clock = &clock;
+  telemetry.sink = &sink;
+  State state = State::all_on(instance, 0);
+  Xoshiro256 rng(9);
+  const EngineResult result =
+      Engine(base_config(telemetry)).run(*make_protocol(spec), state, rng);
 
+  EXPECT_EQ(assignment_of(state), assignment_of(reference_state));
+  EXPECT_EQ(result.rounds, reference.rounds);
   EXPECT_TRUE(result.telemetry.enabled);
-  EXPECT_EQ(result.telemetry.trace_rows, 0u);
+  EXPECT_EQ(result.telemetry.trace_rows, result.rounds + 1);
+  ASSERT_EQ(sink.rows().size(), result.rounds + 1);
+  EXPECT_EQ(sink.rows().front().max_load,
+            static_cast<std::int64_t>(instance.total_weight()));
+  EXPECT_DOUBLE_EQ(sink.rows().back().potential, rosenthal_potential(state));
   EXPECT_EQ(metrics.counter_value(metrics.find_counter("engine/rounds")),
             result.counters.rounds);
   EXPECT_GT(result.telemetry.phases[obs::Phase::kStep].count, 0u);

@@ -1,7 +1,8 @@
 // Property grid for the weighted model, mirroring property_protocols_test:
 // structural consistency, counter sanity, stability on convergence,
 // determinism, and the weighted-specific invariant that total weight is
-// conserved across every round.
+// conserved across every round. Weighted instances run the registry's
+// weight-aware protocols on the one round loop.
 
 #include <gtest/gtest.h>
 
@@ -11,8 +12,9 @@
 #include <string>
 #include <tuple>
 
-#include "core/weighted/weighted_generators.hpp"
-#include "core/weighted/weighted_protocols.hpp"
+#include "core/engine.hpp"
+#include "core/generators.hpp"
+#include "core/protocols/registry.hpp"
 #include "rng/splitmix64.hpp"
 
 namespace qoslb {
@@ -33,12 +35,12 @@ void PrintTo(const WeightedCase& c, std::ostream* os) {
       << " slack=" << c.slack << " concentrated=" << c.concentrated;
 }
 
-std::unique_ptr<WeightedProtocol> build(int kind) {
-  switch (kind) {
-    case 0: return std::make_unique<WeightedUniformSampling>(0.5);
-    case 1: return std::make_unique<WeightedAdmissionControl>();
-    default: return std::make_unique<WeightedSequentialBestResponse>();
-  }
+std::unique_ptr<Protocol> build(int kind) {
+  static const char* const kKinds[] = {"uniform", "admission", "seq-br"};
+  ProtocolSpec spec;
+  spec.kind = kKinds[kind];
+  spec.lambda = kind == 0 ? 0.5 : 1.0;
+  return make_protocol(spec);
 }
 
 class WeightedGrid : public ::testing::TestWithParam<WeightedCase> {};
@@ -48,11 +50,10 @@ TEST_P(WeightedGrid, InvariantsHoldEndToEnd) {
 
   auto run_once = [&](std::uint64_t seed) {
     Xoshiro256 rng(seed);
-    const WeightedInstance instance =
+    const Instance instance =
         make_weighted_feasible(120, 10, grid.slack, grid.classes, 1.0, rng);
-    WeightedState state = grid.concentrated
-                              ? WeightedState::all_on(instance, 0)
-                              : WeightedState::random(instance, rng);
+    State state = grid.concentrated ? State::all_on(instance, 0)
+                                    : State::random(instance, rng);
     const std::int64_t total_before =
         std::accumulate(state.loads().begin(), state.loads().end(),
                         std::int64_t{0});
